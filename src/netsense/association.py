@@ -5,6 +5,12 @@ every BS distance to a target slot; anchor 1's assignment is fixed to the
 identity, so the search space holds (K!)^(M-1) hypotheses for K targets and
 M anchors. A hypothesis is feasible when every target slot trilaterates with
 residual at or below the feasibility tolerance.
+
+A target slot's residual depends only on the distance index chosen at each
+anchor, so every solver works on one shared subproblem table: all K^M index
+combinations trilaterated in one batch. ``SubproblemBatch`` stacks the tables
+of many problems into a single solver call. The exhaustive scan and the
+branch-and-bound search are then index work over those residuals.
 """
 
 from __future__ import annotations
@@ -17,19 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GeometryError, InfeasibleAssociationError, UnequalCardinalityError
-from .localization import PositionEstimate, circle_intersections, solve_ranges_batch
+from .localization import PositionEstimate, solve_ranges_batch
 from .scene import Bounds, Point2, Scene, points_are_collinear, random_scene, true_distance
 
 # Residuals within this band of the minimum are treated as ties and broken
 # by lexicographic hypothesis order, keeping runs reproducible when several
 # hypotheses are feasible at numerical-zero residual.
 RESIDUAL_TIE_EPS_M = 1e-12
-
-# Branch-and-bound candidate gate, relative to the feasibility tolerance.
-# The gate only prunes; final feasibility is always decided by the
-# trilateration residual, so the gate errs wide to stay conservative.
-CANDIDATE_GATE_FACTOR = 6.0
-
 
 @dataclass(frozen=True)
 class DistanceProfile:
@@ -39,6 +39,8 @@ class DistanceProfile:
     distances: tuple[float, ...]
 
     def __post_init__(self):
+        if not all(math.isfinite(d) for d in self.distances):
+            raise ValueError(f"{self.anchor_id}: distances must be finite")
         if any(d < 0 for d in self.distances):
             raise ValueError("distances must be nonnegative")
 
@@ -99,26 +101,17 @@ class _SubproblemTable:
 
     The residual of target slot k under a hypothesis depends only on the
     chosen distance index at each anchor, so all K^M combinations are solved
-    once in a single vectorized batch and shared by every hypothesis.
+    once and shared by every hypothesis. Row ``flat`` holds the combination
+    whose anchor-wise indices are the base-K digits of ``flat``, anchor 1
+    most significant.
     """
 
-    def __init__(self, profiles: Sequence[DistanceProfile], anchors_xy: np.ndarray,
-                 n_targets: int):
+    def __init__(self, n_targets: int, n_anchors: int, positions: np.ndarray,
+                 rms: np.ndarray, converged: np.ndarray, iterations: np.ndarray):
         self.k = n_targets
-        self.m = len(anchors_xy)
-        dists = [np.array(p.distances, float) for p in profiles]
-        combos = np.indices((n_targets,) * self.m).reshape(self.m, -1).T  # (K^M, M)
-        rows = np.stack([dists[m][combos[:, m]] for m in range(self.m)], axis=1)
-        self.positions, self.rms, self.converged, self.iterations = solve_ranges_batch(
-            anchors_xy, rows
-        )
-
-    def flat_index(self, idx_by_anchor: np.ndarray) -> np.ndarray:
-        """Row index for combinations given as (..., M) anchor-wise indices."""
-        flat = idx_by_anchor[..., 0]
-        for m in range(1, self.m):
-            flat = flat * self.k + idx_by_anchor[..., m]
-        return flat
+        self.m = n_anchors
+        self.positions, self.rms = positions, rms
+        self.converged, self.iterations = converged, iterations
 
     def estimate(self, flat: int) -> PositionEstimate:
         return PositionEstimate(
@@ -127,6 +120,52 @@ class _SubproblemTable:
             converged=bool(self.converged[flat]),
             iterations=int(self.iterations[flat]),
         )
+
+
+class SubproblemBatch:
+    """Subproblem rows of several association problems, solved in one call.
+
+    ``add`` validates one problem and stacks its K^M rows, each with that
+    problem's own anchors; ``solve`` runs them all through a single
+    ``solve_ranges_batch`` call and returns one table per added problem, in
+    order. Every row's result is bitwise what a separate call would give.
+    All problems in a batch need the same anchor count M.
+    """
+
+    def __init__(self):
+        self._shapes: list[tuple[int, int]] = []
+        self._anchors: list[np.ndarray] = []
+        self._rows: list[np.ndarray] = []
+
+    def add(self, profiles: Sequence[DistanceProfile], anchors) -> None:
+        anchors_xy = _as_anchor_array(anchors)
+        n_targets, n_anchors = _check_inputs(profiles, anchors_xy)
+        if self._shapes and self._shapes[0][1] != n_anchors:
+            raise ValueError("every problem in a batch needs the same anchor count")
+        combos = np.indices((n_targets,) * n_anchors).reshape(n_anchors, -1).T  # (K^M, M)
+        dists = [np.array(p.distances, float) for p in profiles]
+        self._shapes.append((n_targets, n_anchors))
+        self._rows.append(np.stack([dists[m][combos[:, m]] for m in range(n_anchors)], axis=1))
+        self._anchors.append(np.broadcast_to(anchors_xy, (len(combos),) + anchors_xy.shape))
+
+    def solve(self) -> list[_SubproblemTable]:
+        if not self._rows:
+            return []
+        results = solve_ranges_batch(np.concatenate(self._anchors), np.concatenate(self._rows))
+        tables, start = [], 0
+        for (n_targets, n_anchors), rows in zip(self._shapes, self._rows):
+            stop = start + len(rows)
+            tables.append(_SubproblemTable(n_targets, n_anchors,
+                                           *(r[start:stop] for r in results)))
+            start = stop
+        return tables
+
+
+def subproblem_table(profiles: Sequence[DistanceProfile], anchors) -> _SubproblemTable:
+    """The validated, solved subproblem table of one association problem."""
+    batch = SubproblemBatch()
+    batch.add(profiles, anchors)
+    return batch.solve()[0]
 
 
 def _hypothesis_tables(n_targets: int, n_anchors: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
@@ -160,6 +199,7 @@ def enumerate_feasible(
     anchors,
     feas_tol_m: float,
     stats: dict | None = None,
+    table: _SubproblemTable | None = None,
 ) -> list[AssociationSolution]:
     """Exhaustively test every association hypothesis and keep the feasible ones.
 
@@ -170,12 +210,14 @@ def enumerate_feasible(
     hypothesis order).
 
     When given, ``stats`` receives bookkeeping: hypotheses_examined and
-    best_max_residual_m over the whole search space.
+    best_max_residual_m over the whole search space. ``table`` is the
+    subproblem table of these profiles and anchors, already validated and
+    solved (see ``SubproblemBatch``); without it the table is built here.
     """
-    anchors_xy = _as_anchor_array(anchors)
-    n_targets, n_anchors = _check_inputs(profiles, anchors_xy)
+    if table is None:
+        table = subproblem_table(profiles, anchors)
+    n_targets, n_anchors = table.k, table.m
 
-    table = _SubproblemTable(profiles, anchors_xy, n_targets)
     perms, perm_idx = _hypothesis_tables(n_targets, n_anchors)
     residuals, flat = _slot_residuals(table, perms, perm_idx)
     max_residual = residuals.max(axis=1)
@@ -206,6 +248,13 @@ def _pick_minimal(solutions: Sequence[AssociationSolution]) -> AssociationSoluti
     return min(tied, key=lambda s: s.hypothesis.assignment)
 
 
+def _infeasible(feas_tol_m: float, best_residual_m: float) -> InfeasibleAssociationError:
+    return InfeasibleAssociationError(
+        f"no hypothesis met tol {feas_tol_m}; best max residual was {best_residual_m:.6g} m",
+        best_residual_m=best_residual_m,
+    )
+
+
 def solve_association(
     profiles: Sequence[DistanceProfile],
     anchors,
@@ -221,11 +270,7 @@ def solve_association(
     stats: dict = {}
     solutions = enumerate_feasible(profiles, anchors, feas_tol_m, stats=stats)
     if not solutions:
-        raise InfeasibleAssociationError(
-            f"no hypothesis met tol {feas_tol_m}; best max residual was "
-            f"{stats['best_max_residual_m']:.6g} m",
-            best_residual_m=stats["best_max_residual_m"],
-        )
+        raise _infeasible(feas_tol_m, stats["best_max_residual_m"])
     return _pick_minimal(solutions)
 
 
@@ -233,123 +278,69 @@ def solve_association_bnb(
     profiles: Sequence[DistanceProfile],
     anchors,
     feas_tol_m: float,
+    table: _SubproblemTable | None = None,
 ) -> AssociationSolution:
-    """Branch-and-bound solver, oracle-equivalent to solve_association.
+    """Branch-and-bound over the subproblem table, equal to solve_association.
 
-    For each target slot, pairing an anchor-1 distance with an unused
-    anchor-2 distance yields at most two candidate points (circle
-    intersection). A candidate survives only if every remaining anchor still
-    has an unused distance within the candidate gate of it; surviving index
-    tuples are verified by trilateration and the search branches slot by
-    slot, bounding on the partial max residual.
+    The search fills target slots in order. Slot k's candidates are the
+    table rows whose anchor-1 index is k and whose residual meets the
+    tolerance; a candidate is taken only if none of its distance indices at
+    anchors 2..M is used yet, and a branch is cut once its partial max
+    residual exceeds the best complete one by more than RESIDUAL_TIE_EPS_M.
+    Every hypothesis within that band of the optimum survives, so the
+    tie-break by lexicographic hypothesis order picks exactly what the
+    exhaustive search picks. When nothing is feasible, the
+    InfeasibleAssociationError carries the best max residual from a full
+    scan of the same table. ``table`` is as in ``enumerate_feasible``.
     """
-    anchors_xy = _as_anchor_array(anchors)
-    n_targets, n_anchors = _check_inputs(profiles, anchors_xy)
-    dists = [np.array(p.distances, float) for p in profiles]
-    gate = CANDIDATE_GATE_FACTOR * feas_tol_m
+    if table is None:
+        table = subproblem_table(profiles, anchors)
+    k, m = table.k, table.m
+    rest = np.indices((k,) * (m - 1)).reshape(m - 1, -1).T  # indices at anchors 2..M
+    rms = table.rms.reshape(k, len(rest))  # row s: anchor-1 index s
+    candidates = [
+        [(tuple(int(j) for j in rest[i]), float(rms[s, i]), s * len(rest) + int(i))
+         for i in np.flatnonzero(rms[s] <= feas_tol_m)]
+        for s in range(k)
+    ]
 
-    a1 = Point2(float(anchors_xy[0, 0]), float(anchors_xy[0, 1]))
-    a2 = Point2(float(anchors_xy[1, 0]), float(anchors_xy[1, 1]))
-    solved: dict[tuple[int, ...], tuple[float, PositionEstimate]] = {}
+    used = [[False] * k for _ in range(m - 1)]
+    chosen: list[tuple[tuple[int, ...], int]] = []
+    incumbent = math.inf
+    complete: list[tuple[tuple[tuple[int, ...], ...], float, tuple[int, ...]]] = []
 
-    def solve_tuple(combo: tuple[int, ...]) -> tuple[float, PositionEstimate]:
-        if combo not in solved:
-            row = np.array([dists[m][combo[m]] for m in range(n_anchors)])
-            positions, rms, converged, iterations = solve_ranges_batch(anchors_xy, row[None, :])
-            est = PositionEstimate(
-                position=Point2(float(positions[0, 0]), float(positions[0, 1])),
-                residual_rms_m=float(rms[0]),
-                converged=bool(converged[0]),
-                iterations=int(iterations[0]),
-            )
-            solved[combo] = (float(rms[0]), est)
-        return solved[combo]
-
-    def candidate_points(r1: float, r2: float) -> list[Point2]:
-        pts = list(circle_intersections(a1, r1, a2, r2))
-        if not pts:
-            gap = max(true_distance(a1, a2) - r1 - r2,
-                      abs(r1 - r2) - true_distance(a1, a2))
-            if gap <= gate:
-                # Nearly tangent circles: take the closest-approach point.
-                dx, dy = a2.x - a1.x, a2.y - a1.y
-                d = math.hypot(dx, dy)
-                a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-                pts = [Point2(a1.x + a * dx / d, a1.y + a * dy / d)]
-        return pts
-
-    def slot_candidates(k: int, used: list[np.ndarray]) -> list[tuple[tuple[int, ...], float]]:
-        found: dict[tuple[int, ...], float] = {}
-        r1 = dists[0][k]
-        for j2 in range(n_targets):
-            if used[0][j2]:
-                continue
-            for p in candidate_points(r1, dists[1][j2]):
-                options = []
-                p_xy = p.as_array()
-                ok = True
-                for m in range(2, n_anchors):
-                    gaps = np.abs(np.linalg.norm(anchors_xy[m] - p_xy) - dists[m])
-                    usable = [j for j in range(n_targets)
-                              if not used[m - 1][j] and gaps[j] <= gate]
-                    if not usable:
-                        ok = False
-                        break
-                    options.append(usable)
-                if not ok:
-                    continue
-                for rest in itertools.product(*options):
-                    combo = (k, j2) + rest
-                    if combo in found:
-                        continue
-                    rms, _ = solve_tuple(combo)
-                    if rms <= feas_tol_m:
-                        found[combo] = rms
-        return sorted(found.items())
-
-    incumbent = [math.inf]
-    complete: list[tuple[tuple[tuple[int, ...], ...], float, tuple[tuple[int, ...], ...]]] = []
-
-    def record(chosen: list[tuple[int, ...]], max_res: float) -> None:
-        assignment = (tuple(range(n_targets)),) + tuple(
-            tuple(chosen[k][m] for k in range(n_targets)) for m in range(1, n_anchors)
-        )
-        complete.append((assignment, max_res, tuple(chosen)))
-        incumbent[0] = min(incumbent[0], max_res)
-        complete[:] = [c for c in complete if c[1] <= incumbent[0] + RESIDUAL_TIE_EPS_M]
-
-    def dfs(k: int, used: list[np.ndarray], chosen: list[tuple[int, ...]],
-            partial_max: float) -> None:
-        if partial_max > incumbent[0] + RESIDUAL_TIE_EPS_M:
+    def dfs(slot: int, partial_max: float) -> None:
+        nonlocal incumbent
+        if slot == k:
+            assignment = (tuple(range(k)),) + tuple(
+                tuple(combo[a] for combo, _ in chosen) for a in range(m - 1))
+            complete.append((assignment, partial_max, tuple(flat for _, flat in chosen)))
+            incumbent = min(incumbent, partial_max)
+            complete[:] = [c for c in complete if c[1] <= incumbent + RESIDUAL_TIE_EPS_M]
             return
-        if k == n_targets:
-            record(chosen, partial_max)
-            return
-        for combo, rms in slot_candidates(k, used):
-            new_max = max(partial_max, rms)
-            if new_max > incumbent[0] + RESIDUAL_TIE_EPS_M:
+        for combo, residual, flat in candidates[slot]:
+            new_max = max(partial_max, residual)
+            if new_max > incumbent + RESIDUAL_TIE_EPS_M:
                 continue
-            for m in range(1, n_anchors):
-                used[m - 1][combo[m]] = True
-            chosen.append(combo)
-            dfs(k + 1, used, chosen, new_max)
+            if any(used[a][j] for a, j in enumerate(combo)):
+                continue
+            for a, j in enumerate(combo):
+                used[a][j] = True
+            chosen.append((combo, flat))
+            dfs(slot + 1, new_max)
             chosen.pop()
-            for m in range(1, n_anchors):
-                used[m - 1][combo[m]] = False
+            for a, j in enumerate(combo):
+                used[a][j] = False
 
-    used0 = [np.zeros(n_targets, bool) for _ in range(n_anchors - 1)]
-    dfs(0, used0, [], 0.0)
-
+    dfs(0, 0.0)
     if not complete:
-        # The candidate gates can prune a barely-feasible hypothesis on noisy
-        # ranges; degrade to the exhaustive solver rather than miss it. This
-        # also makes the infeasibility error carry the true best residual.
-        return solve_association(profiles, anchors_xy, feas_tol_m)
+        perms, perm_idx = _hypothesis_tables(k, m)
+        residuals, _ = _slot_residuals(table, perms, perm_idx)
+        raise _infeasible(feas_tol_m, float(residuals.max(axis=1).min()))
 
-    best = min(c[1] for c in complete)
-    tied = [c for c in complete if c[1] <= best + RESIDUAL_TIE_EPS_M]
-    assignment, max_res, combos = min(tied, key=lambda c: c[0])
-    estimates = tuple(solve_tuple(c)[1] for c in combos)
+    # Pruning left exactly the solutions within the tie band of the best.
+    assignment, _, flats = min(complete, key=lambda c: c[0])
+    estimates = tuple(table.estimate(f) for f in flats)
     return AssociationSolution(
         hypothesis=AssociationHypothesis(assignment),
         estimates=estimates,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -29,8 +30,28 @@ COMMANDS = ("coverage", "ambiguity", "localize", "associate", "ghosts", "irs", "
 COVERAGE_FRACTIONS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
 
 
+class UsageError(ValueError):
+    """A bad invocation outside argparse's reach, reported with exit code 2."""
+
+
 def _default_seed() -> int:
-    return int(os.environ.get("NETSENSE_SEED", DEFAULT_SEED))
+    raw = os.environ.get("NETSENSE_SEED")
+    if raw is None:
+        return DEFAULT_SEED
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"NETSENSE_SEED must be an integer, got {raw!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -157,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-4, help="feasibility tolerance [m]")
     p.add_argument("--quantize", action="store_true",
                    help="round ranges to the c/(2B) resolution grid")
-    p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
+    p.add_argument("--workers", type=_positive_int, default=1, help="parallel trial workers")
     p.add_argument("--out", default="report.json", help="JSON report path")
     p.add_argument("--trials-csv", default=None,
                    help="per-trial CSV path (default: report path with .csv suffix)")
@@ -206,6 +227,22 @@ def _read_csv(path: str, required: Sequence[str]) -> list[dict]:
         if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
             raise ValueError(f"{path}: expected CSV header with columns {list(required)}")
         return list(reader)
+
+
+def _csv_distance(path: str, index: int, row: dict) -> float:
+    """Data row ``index``'s distance_m as a finite, nonnegative float.
+
+    Errors name the file and the row, counted from 1 after the header.
+    """
+    raw = row["distance_m"]
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"{path}: row {index}: distance_m must be a finite, "
+                         f"nonnegative number, got {raw!r}")
+    return value
 
 
 # --- subcommand handlers ------------------------------------------------------
@@ -275,8 +312,8 @@ def _cmd_localize(opts: dict) -> None:
     scn = scene.load_scene(opts["scene"])
     rows = _read_csv(opts["measurements"], ["anchor_id", "distance_m"])
     measurements = [
-        localization.RangeMeasurement(row["anchor_id"], float(row["distance_m"]))
-        for row in rows
+        localization.RangeMeasurement(row["anchor_id"], _csv_distance(opts["measurements"], i, row))
+        for i, row in enumerate(rows, start=1)
     ]
     positions = _anchor_positions(scn)
     used = {m.anchor_id: positions[m.anchor_id] for m in measurements
@@ -295,8 +332,8 @@ def _cmd_localize(opts: dict) -> None:
 def _profiles_from_csv(path: str, scn: scene.Scene) -> list[association.DistanceProfile]:
     rows = _read_csv(path, ["anchor_id", "distance_m"])
     by_anchor: dict[str, list[float]] = {}
-    for row in rows:
-        by_anchor.setdefault(row["anchor_id"], []).append(float(row["distance_m"]))
+    for i, row in enumerate(rows, start=1):
+        by_anchor.setdefault(row["anchor_id"], []).append(_csv_distance(path, i, row))
     bs_ids = [a.id for a in scn.base_stations]
     missing = [i for i in bs_ids if i not in by_anchor]
     if missing:
@@ -333,7 +370,9 @@ def _cmd_associate(opts: dict) -> None:
                 else association.exact_profiles(scn))
     anchors = scn.bs_positions()
 
-    solutions = association.enumerate_feasible(profiles, anchors, opts["tol"])
+    # One solved subproblem table serves the enumeration and either solver.
+    table = association.subproblem_table(profiles, anchors)
+    solutions = association.enumerate_feasible(profiles, anchors, opts["tol"], table=table)
     truth = [t.position for t in scn.targets]
     ghost_report = association.build_ghost_report(
         solutions, ground_truth=truth, match_radius_m=opts["match_radius"]
@@ -341,9 +380,9 @@ def _cmd_associate(opts: dict) -> None:
     best = None
     if solutions:
         if opts["solver"] == "bnb":
-            best = association.solve_association_bnb(profiles, anchors, opts["tol"])
+            best = association.solve_association_bnb(profiles, anchors, opts["tol"], table=table)
         else:
-            best = association.solve_association(profiles, anchors, opts["tol"])
+            best = association._pick_minimal(solutions)
 
     payload = {
         "solver": opts["solver"],
@@ -506,7 +545,11 @@ def dispatch_config(cfg: RunConfig) -> int:
 
 def parse_and_dispatch(argv: Sequence[str] | None = None) -> int:
     """Parse argv, route to the subcommand, and return the exit code."""
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         namespace = parser.parse_args(argv if argv is not None else sys.argv[1:])
     except SystemExit as exc:

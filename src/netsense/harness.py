@@ -3,6 +3,11 @@
 Every trial draws from its own child stream of the master seed (indexed by
 trial number), so reports are byte-identical regardless of execution order
 or worker count.
+
+Trials run in chunks of at most CHUNK_ROWS solver rows. A chunk first draws
+each trial's scene and measurements, then solves the subproblem rows of all
+its full-detection trials in one stacked solver call, then scores each trial
+from its own table. A chunk is also the unit of work handed to a worker pool.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 from .association import (
     AssociationSolution,
     DistanceProfile,
+    SubproblemBatch,
     enumerate_feasible,
     solve_association_bnb,
 )
@@ -25,6 +31,12 @@ from .link_budget import LinkBudgetParams, covered, range_resolution
 from .scene import Bounds, Scene, random_scene, scene_to_dict, true_distance
 
 CORRECT_MATCH_RADIUS_M = 1e-3
+
+# Solver rows stacked into one call. 256 rows amortize most of the per-call
+# overhead and leave the process's peak memory where one-trial calls left it;
+# 512 rows cost about 0.5 MiB more and 1024 rows over 1 MiB more, for
+# 1.2-1.9x more speed.
+CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -210,9 +222,14 @@ def _association_tol(base_tol: float, sigma_eff: float, num_bs: int) -> float:
     return max(base_tol, 3.0 * sigma_eff * math.sqrt(num_bs))
 
 
-def _matching_rmse(solution: AssociationSolution, scene: Scene,
-                   origins: tuple[tuple[int, ...], ...]) -> tuple[bool, float]:
-    """Score one solution against ground truth via measurement provenance."""
+def _score(solution: AssociationSolution, scene: Scene,
+           origins: tuple[tuple[int, ...], ...]) -> tuple[bool, bool, float]:
+    """Score one solution against ground truth via measurement provenance.
+
+    Returns (consistent, matched, rmse): whether every slot's distances come
+    from one true target, whether additionally every estimate lies within
+    CORRECT_MATCH_RADIUS_M of it, and the RMS position error.
+    """
     truth_xy = scene.target_positions()
     assignment = solution.hypothesis.assignment
     consistent = all(
@@ -226,15 +243,11 @@ def _matching_rmse(solution: AssociationSolution, scene: Scene,
         errors.append((est.position.x - t[0]) ** 2 + (est.position.y - t[1]) ** 2)
     rmse = math.sqrt(sum(errors) / len(errors))
     matched = consistent and all(math.sqrt(e) <= CORRECT_MATCH_RADIUS_M for e in errors)
-    return matched, rmse
+    return consistent, matched, rmse
 
 
-def _uniqueness_trial(args: tuple[ExperimentSpec, int, int]) -> dict:
-    spec, trial, trial_seed = args
-    scene = _trial_scene(spec, trial_seed)
-    exact = NoiseModel(0.0, False, spec.noise.bandwidth_hz)
-    ms = measure_distances(scene, spec.link, spec.snr_min_db, exact, trial_seed)
-
+def _uniqueness_record(spec: ExperimentSpec, trial: int, trial_seed: int, scene: Scene,
+                       noise: NoiseModel, ms: MeasurementSet, table) -> dict:
     record = {
         "trial": trial,
         "seed": trial_seed,
@@ -249,9 +262,10 @@ def _uniqueness_trial(args: tuple[ExperimentSpec, int, int]) -> dict:
     if record["partial"]:
         return record
 
-    solutions = enumerate_feasible(ms.profiles, scene.bs_positions(), spec.feas_tol_m)
-    matches = [_matching_rmse(s, scene, ms.origins) for s in solutions]
-    correct = [rmse for ok, rmse in matches if ok]
+    solutions = enumerate_feasible(ms.profiles, scene.bs_positions(), spec.feas_tol_m,
+                                   table=table)
+    scores = [_score(s, scene, ms.origins) for s in solutions]
+    correct = [rmse for _, matched, rmse in scores if matched]
     record.update(
         feasible_count=len(solutions),
         ghost=len(solutions) > 1,
@@ -261,14 +275,10 @@ def _uniqueness_trial(args: tuple[ExperimentSpec, int, int]) -> dict:
     return record
 
 
-def _accuracy_trial(args: tuple[ExperimentSpec, float, int, int]) -> dict:
-    spec, sigma, trial, trial_seed = args
-    scene = _trial_scene(spec, trial_seed)
-    noise = NoiseModel(sigma, spec.noise.quantize_to_resolution, spec.noise.bandwidth_hz)
-    ms = measure_distances(scene, spec.link, spec.snr_min_db, noise, trial_seed)
-
+def _accuracy_record(spec: ExperimentSpec, trial: int, trial_seed: int, scene: Scene,
+                     noise: NoiseModel, ms: MeasurementSet, table) -> dict:
     record = {
-        "sigma_m": sigma,
+        "sigma_m": noise.range_sigma_m,
         "trial": trial,
         "seed": trial_seed,
         "partial": not ms.full_detection,
@@ -281,37 +291,52 @@ def _accuracy_trial(args: tuple[ExperimentSpec, float, int, int]) -> dict:
 
     tol = _association_tol(spec.feas_tol_m, noise.effective_sigma_m(), len(ms.profiles))
     try:
-        solution = solve_association_bnb(ms.profiles, scene.bs_positions(), tol)
+        solution = solve_association_bnb(ms.profiles, scene.bs_positions(), tol, table=table)
     except InfeasibleAssociationError:
         record.update(infeasible=True, correct=False)
         return record
 
-    truth_xy = scene.target_positions()
-    assignment = solution.hypothesis.assignment
-    correct = all(
-        ms.origins[m][assignment[m][k]] == ms.origins[0][k]
-        for m in range(len(assignment))
-        for k in range(len(assignment[0]))
-    )
-    errors = [
-        (est.position.x - truth_xy[ms.origins[0][k]][0]) ** 2
-        + (est.position.y - truth_xy[ms.origins[0][k]][1]) ** 2
-        for k, est in enumerate(solution.estimates)
-    ]
-    record.update(
-        infeasible=False,
-        correct=correct,
-        rmse_m=math.sqrt(sum(errors) / len(errors)),
-    )
+    consistent, _, rmse = _score(solution, scene, ms.origins)
+    record.update(infeasible=False, correct=consistent, rmse_m=rmse)
     return record
 
 
-def _run_trials(worker, jobs: list, workers: int) -> list[dict]:
-    if workers <= 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    chunk = max(1, len(jobs) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, jobs, chunksize=chunk))
+def _run_chunk(args: tuple) -> list[dict]:
+    """Records of one chunk of (noise, trial, trial seed) jobs.
+
+    Phase 1 draws each trial's scene and measurements and validates its
+    association problem; phase 2 solves every full-detection trial's
+    subproblem rows in one stacked call; phase 3 scores each trial from its
+    own table with ``make_record``.
+    """
+    make_record, spec, jobs = args
+    batch = SubproblemBatch()
+    drawn = []
+    for noise, trial, trial_seed in jobs:
+        scene = _trial_scene(spec, trial_seed)
+        ms = measure_distances(scene, spec.link, spec.snr_min_db, noise, trial_seed)
+        if ms.full_detection:
+            batch.add(ms.profiles, scene.bs_positions())
+        drawn.append((trial, trial_seed, scene, noise, ms))
+    tables = iter(batch.solve())
+    return [make_record(spec, *d, next(tables) if d[-1].full_detection else None)
+            for d in drawn]
+
+
+def _run_trials(make_record, spec: ExperimentSpec, jobs: list, workers: int) -> list[dict]:
+    """Run jobs in chunks of at most CHUNK_ROWS solver rows, in job order."""
+    if spec.scene is not None:
+        n_targets, n_anchors = len(spec.scene.targets), len(spec.scene.base_stations)
+    else:
+        n_targets, n_anchors = spec.random_plan.num_targets, spec.random_plan.num_bs
+    size = max(1, CHUNK_ROWS // max(1, n_targets ** n_anchors))
+    chunks = [(make_record, spec, jobs[i:i + size]) for i in range(0, len(jobs), size)]
+    if workers <= 1 or len(chunks) <= 1:
+        results = [_run_chunk(chunk) for chunk in chunks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run_chunk, chunks))
+    return [record for chunk in results for record in chunk]
 
 
 def uniqueness_aggregates(records: Sequence[dict]) -> dict:
@@ -362,8 +387,10 @@ def run_uniqueness_experiment(spec: ExperimentSpec, workers: int = 1) -> Experim
     headline ghost fraction.
     """
     seeds = _trial_seeds(spec.seed, spec.trials)
-    jobs = [(spec, t, s) for t, s in enumerate(seeds)]
-    records = sorted(_run_trials(_uniqueness_trial, jobs, workers), key=lambda r: r["trial"])
+    exact = NoiseModel(0.0, False, spec.noise.bandwidth_hz)
+    jobs = [(exact, t, s) for t, s in enumerate(seeds)]
+    records = sorted(_run_trials(_uniqueness_record, spec, jobs, workers),
+                     key=lambda r: r["trial"])
     return ExperimentReport(
         kind="uniqueness",
         spec=spec.to_dict(),
@@ -383,13 +410,11 @@ def run_accuracy_experiment(
     if any(s < 0 for s in sigma_list_m):
         raise ValueError("sigma values must be nonnegative")
     seeds = _trial_seeds(spec.seed, spec.trials)
-    jobs = [
-        (spec, float(sigma), t, s)
-        for sigma in sigma_list_m
-        for t, s in enumerate(seeds)
-    ]
+    noises = [NoiseModel(float(sigma), spec.noise.quantize_to_resolution,
+                         spec.noise.bandwidth_hz) for sigma in sigma_list_m]
+    jobs = [(noise, t, s) for noise in noises for t, s in enumerate(seeds)]
     records = sorted(
-        _run_trials(_accuracy_trial, jobs, workers),
+        _run_trials(_accuracy_record, spec, jobs, workers),
         key=lambda r: (r["sigma_m"], r["trial"]),
     )
     return ExperimentReport(

@@ -2,8 +2,11 @@
 
 Trilateration minimizes sum_i (|x - a_i| - d_i)^2 with Gauss-Newton, seeded
 from the intersection points of the two nearest-anchor range circles. The
-batch variant solves many independent range problems against one anchor set,
-which is what the data-association search needs.
+batch variant solves many independent range problems, each row against its
+own anchor set: the data-association search solves every distance-index
+combination of a problem at once, and the experiment harness stacks those
+rows for a whole chunk of trials into one call. Rows never interact, so a
+row's result is bitwise the same in any batch.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ class RangeMeasurement:
     sigma_m: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.distance_m):
+            raise ValueError(f"{self.anchor_id}: distance_m must be finite")
         if self.distance_m < 0:
             raise ValueError("distance_m must be nonnegative")
         if self.sigma_m < 0:
@@ -84,16 +89,17 @@ def range_jacobian(p: np.ndarray, anchors_xy: np.ndarray) -> np.ndarray:
 def _seed_pair(anchors_xy: np.ndarray, distances: np.ndarray) -> np.ndarray:
     """Two Gauss-Newton seeds per problem row, shape (B, 2, 2).
 
-    Seeds are the intersections of the range circles around the two anchors
-    with the smallest measured distances. When those circles are disjoint,
-    nested, or their centers coincide, both seeds fall back to the anchor
+    ``anchors_xy`` holds each row's own anchor set, shape (B, M, 2). Seeds are
+    the intersections of the range circles around the row's two anchors with
+    the smallest measured distances. When those circles are disjoint, nested,
+    or their centers coincide, both seeds fall back to the row's anchor
     centroid.
     """
-    d = np.atleast_2d(np.asarray(distances, float))
+    d = distances
     order = np.argsort(d, axis=1, kind="stable")[:, :2]
     rows = np.arange(len(d))
-    c1 = anchors_xy[order[:, 0]]
-    c2 = anchors_xy[order[:, 1]]
+    c1 = anchors_xy[rows, order[:, 0]]
+    c2 = anchors_xy[rows, order[:, 1]]
     r1 = d[rows, order[:, 0]]
     r2 = d[rows, order[:, 1]]
 
@@ -113,7 +119,7 @@ def _seed_pair(anchors_xy: np.ndarray, distances: np.ndarray) -> np.ndarray:
     plus = base + h[:, None] * ey
     minus = base - h[:, None] * ey
 
-    centroid = anchors_xy.mean(axis=0)
+    centroid = anchors_xy.mean(axis=1)
     seeds = np.empty((len(d), 2, 2))
     seeds[:, 0] = np.where(valid[:, None], plus, centroid)
     seeds[:, 1] = np.where(valid[:, None], minus, centroid)
@@ -127,28 +133,28 @@ def _gauss_newton(
     tol_m: float,
     max_iterations: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized Gauss-Newton over B independent range problems."""
+    """Vectorized Gauss-Newton over B independent range problems.
+
+    ``anchors_xy`` is (B, M, 2). Each iteration works only on the rows that
+    have not converged yet; a row's arithmetic never depends on the others,
+    so its result is the same in any batch.
+    """
     p = seeds.copy()
     n_rows = len(p)
     converged = np.zeros(n_rows, bool)
     iterations = np.zeros(n_rows, int)
     prev_rms = np.full(n_rows, np.inf)
+    live = np.arange(n_rows)
 
     for it in range(1, max_iterations + 1):
-        active = ~converged
-        if not active.any():
+        if not len(live):
             break
-        diff = p[:, None, :] - anchors_xy[None, :, :]
+        diff = p[live, None, :] - anchors_xy[live]
         norms = np.linalg.norm(diff, axis=2)
-        residuals = norms - distances
+        residuals = norms - distances[live]
         rms = np.sqrt(np.mean(residuals ** 2, axis=1))
-
-        done = active & (prev_rms - rms < IMPROVE_TOL_M)
-        converged |= done
-        iterations[done] = it
-        active = ~converged
-        if not active.any():
-            break
+        # A row stops when its residual no longer improves ...
+        stop = prev_rms[live] - rms < IMPROVE_TOL_M
 
         unit = diff / np.maximum(norms, 1e-12)[:, :, None]
         a11 = np.sum(unit[:, :, 0] ** 2, axis=1)
@@ -164,18 +170,17 @@ def _gauss_newton(
         dx = np.where(degenerate, 0.0, dx)
         dy = np.where(degenerate, 0.0, dy)
 
-        step = np.hypot(dx, dy)
-        done = active & (step < tol_m)
-        converged |= done
-        iterations[done] = it
+        # ... or when its step falls below tolerance; the other rows move.
+        stop |= np.hypot(dx, dy) < tol_m
+        converged[live[stop]] = True
+        iterations[live] = it
+        move = ~stop
+        live = live[move]
+        p[live, 0] += dx[move]
+        p[live, 1] += dy[move]
+        prev_rms[live] = rms[move]
 
-        move = ~converged
-        p[move, 0] += dx[move]
-        p[move, 1] += dy[move]
-        iterations[move] = it
-        prev_rms = np.where(move, rms, prev_rms)
-
-    final = np.linalg.norm(p[:, None, :] - anchors_xy[None, :, :], axis=2) - distances
+    final = np.linalg.norm(p[:, None, :] - anchors_xy, axis=2) - distances
     rms = np.sqrt(np.mean(final ** 2, axis=1))
     return p, rms, converged, iterations
 
@@ -186,27 +191,46 @@ def solve_ranges_batch(
     tol_m: float = STEP_TOL_M,
     max_iterations: int = MAX_ITERATIONS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Solve B independent range problems against one anchor set.
+    """Solve B independent range problems, each against its own anchor set.
 
     Args:
-        anchors_xy: (M, 2) anchor coordinates, M >= 3, not all collinear.
+        anchors_xy: (M, 2) anchor coordinates shared by every row, or
+            (B, M, 2) with one anchor set per row. M >= 3 and no row's
+            anchors may be all collinear.
         distances: (B, M) measured ranges, one row per problem.
 
     Returns:
         (positions (B, 2), residual_rms (B,), converged (B,), iterations (B,)).
         Both circle-intersection seeds are tried for every row and the lower
-        residual result is kept.
+        residual result is kept. Each row's result is bitwise the same
+        whichever batch it is solved in, so stacking the rows of many
+        problems into one call changes nothing but the speed.
     """
-    anchors_xy = np.asarray(anchors_xy, float).reshape(-1, 2)
+    anchors_xy = np.asarray(anchors_xy, float)
     distances = np.atleast_2d(np.asarray(distances, float))
-    if len(anchors_xy) < 3:
+    per_row = anchors_xy.ndim == 3
+    if not per_row:
+        anchors_xy = anchors_xy.reshape(-1, 2)
+    if anchors_xy.shape[-2] < 3:
         raise ValueError("need at least 3 anchors")
-    if distances.shape[1] != len(anchors_xy):
+    if distances.shape[1] != anchors_xy.shape[-2]:
         raise ValueError("one distance per anchor required")
+    if per_row and len(anchors_xy) != len(distances):
+        raise ValueError("one anchor set per distance row required")
     if np.any(distances < 0):
         raise ValueError("distances must be nonnegative")
-    if points_are_collinear(anchors_xy):
+    if per_row:
+        # Stacked problems share their anchor set over runs of rows; check
+        # each run once.
+        first = np.ones(len(anchors_xy), bool)
+        first[1:] = (anchors_xy[1:] != anchors_xy[:-1]).any(axis=(1, 2))
+        for row in np.flatnonzero(first):
+            if points_are_collinear(anchors_xy[row]):
+                raise GeometryError(f"anchors of row {row} are collinear")
+    elif points_are_collinear(anchors_xy):
         raise GeometryError("anchors are collinear")
+    else:
+        anchors_xy = np.broadcast_to(anchors_xy, (len(distances),) + anchors_xy.shape)
 
     seeds = _seed_pair(anchors_xy, distances)
     p0, rms0, conv0, it0 = _gauss_newton(seeds[:, 0], anchors_xy, distances, tol_m, max_iterations)

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsense.association import (
     DistanceProfile,
+    SubproblemBatch,
     build_ghost_report,
     enumerate_feasible,
     exact_profiles,
     ghost_probability,
     solve_association,
     solve_association_bnb,
+    subproblem_table,
 )
 from netsense.errors import (
     GeometryError,
@@ -212,8 +216,8 @@ class TestBranchAndBound:
                                   ea.position.y - eb.position.y) < 1e-9
 
     def test_never_worse_than_oracle_on_noisy_ranges(self):
-        # Gate pruning may not discover a barely-feasible hypothesis; the
-        # fallback keeps the return contract identical to the oracle.
+        # Barely-feasible hypotheses on noisy ranges must be found exactly as
+        # the oracle finds them, and infeasibility must match too.
         rng = np.random.default_rng(123)
         for _ in range(40):
             k = int(rng.integers(2, 4))
@@ -246,6 +250,80 @@ class TestBranchAndBound:
         assert bnb_err.value.best_residual_m == pytest.approx(
             exhaustive_err.value.best_residual_m, rel=1e-9
         )
+
+
+def noisy_problem(seed, k, m, sigma):
+    scene = random_scene(m, k, Bounds(-100, -100, 100, 100), seed=seed)
+    anchors = scene.bs_positions()
+    exact = np.linalg.norm(anchors[:, None, :] - scene.target_positions()[None, :, :], axis=2)
+    noisy = np.maximum(exact + np.random.default_rng(seed).normal(0, sigma, exact.shape), 0.0)
+    return [DistanceProfile(f"bs{i+1}", tuple(noisy[i])) for i in range(m)], anchors
+
+
+class TestBranchAndBoundProperty:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), m=st.integers(3, 4),
+           sigma=st.sampled_from([0.01, 0.1, 1.0]), scale=st.floats(0.9, 1.1))
+    def test_equals_exhaustive_near_tolerance(self, seed, k, m, sigma, scale):
+        # The tolerance sits within +-10% of the true association's worst
+        # slot residual, so the truth is barely feasible or barely not.
+        profiles, anchors = noisy_problem(seed, k, m, sigma)
+        table = subproblem_table(profiles, anchors)
+        truth_rows = [sum(j * k ** (m - 1 - a) for a in range(m)) for j in range(k)]
+        tol = scale * float(table.rms[truth_rows].max())
+        try:
+            expected = solve_association(profiles, anchors, tol)
+        except InfeasibleAssociationError as exhaustive_err:
+            with pytest.raises(InfeasibleAssociationError) as bnb_err:
+                solve_association_bnb(profiles, anchors, tol)
+            assert bnb_err.value.best_residual_m == exhaustive_err.best_residual_m
+            assert str(bnb_err.value) == str(exhaustive_err)
+            return
+        assert solve_association_bnb(profiles, anchors, tol) == expected
+        assert solve_association_bnb(profiles, anchors, tol, table=table) == expected
+
+
+class TestSubproblemBatch:
+    def test_stacked_tables_equal_single_tables(self):
+        problems = [noisy_problem(seed, k, 4, 0.1) for seed, k in ((1, 1), (2, 3), (3, 2), (4, 3))]
+        batch = SubproblemBatch()
+        for profiles, anchors in problems:
+            batch.add(profiles, anchors)
+        for table, (profiles, anchors) in zip(batch.solve(), problems):
+            single = subproblem_table(profiles, anchors)
+            assert (table.k, table.m) == (single.k, single.m)
+            for got, want in ((table.positions, single.positions), (table.rms, single.rms),
+                              (table.converged, single.converged),
+                              (table.iterations, single.iterations)):
+                assert np.array_equal(got, want)
+
+    def test_shared_table_gives_same_results(self):
+        profiles, anchors = noisy_problem(5, 3, 4, 0.1)
+        table = subproblem_table(profiles, anchors)
+        assert enumerate_feasible(profiles, anchors, 0.6, table=table) == enumerate_feasible(
+            profiles, anchors, 0.6)
+
+    def test_empty_batch_solves_nothing(self):
+        assert SubproblemBatch().solve() == []
+
+    def test_validates_each_problem(self):
+        batch = SubproblemBatch()
+        with pytest.raises(UnequalCardinalityError):
+            batch.add([DistanceProfile("a", (1.0,)), DistanceProfile("b", (1.0, 2.0)),
+                       DistanceProfile("c", (1.0,))], EXAMPLE_BS_XY)
+
+    def test_mixed_anchor_counts_rejected(self):
+        batch = SubproblemBatch()
+        batch.add(*noisy_problem(1, 2, 3, 0.0))
+        with pytest.raises(ValueError):
+            batch.add(*noisy_problem(2, 2, 4, 0.0))
+
+
+class TestNonFiniteProfiles:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_distance_profile_rejects(self, bad):
+        with pytest.raises(ValueError, match="bs2.*finite"):
+            DistanceProfile("bs2", (1.0, bad))
 
 
 class TestGhostReport:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -44,6 +45,23 @@ class TestUsage:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, ["coverage", "--warp-speed", "9"])
         assert code == 2
+
+    def test_non_integer_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("NETSENSE_SEED", "abc")
+        code, _, err = run_cli(capsys, ["ghosts", "--trials", "2"])
+        assert code == 2
+        assert "NETSENSE_SEED" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("workers", ["-4", "0"])
+    def test_nonpositive_workers_is_usage_error(self, capsys, tmp_path, workers):
+        code, _, err = run_cli(capsys, [
+            "montecarlo", "--trials", "2", "--workers", workers,
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert "--workers" in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_domain_error_exit_code_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -134,6 +152,16 @@ class TestLocalize:
         assert float(values["y_m"]) == pytest.approx(3.0, abs=1e-6)
         assert float(values["residual_rms_m"]) < 1e-6
 
+    def test_non_finite_range_names_file_and_row(self, capsys, tmp_path, scenes_dir):
+        meas = tmp_path / "meas.csv"
+        meas.write_text("anchor_id,distance_m\nbs1,7.0\nbs2,inf\nbs3,8.0\n")
+        code, _, err = run_cli(capsys, [
+            "localize", "--scene", str(scenes_dir / "example1.json"),
+            "--measurements", str(meas),
+        ])
+        assert code == 1
+        assert f"{meas}: row 2" in err
+
     def test_missing_header_is_domain_error(self, capsys, tmp_path, scenes_dir):
         meas = tmp_path / "meas.csv"
         meas.write_text("a,b\n1,2\n")
@@ -188,6 +216,18 @@ class TestAssociate:
         ])
         assert code == 0
         assert json.loads(out)["num_feasible"] == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-1.0", "far"])
+    def test_bad_profile_distance_names_file_and_row(self, capsys, tmp_path, scenes_dir, bad):
+        prof = tmp_path / "profiles.csv"
+        prof.write_text("anchor_id,distance_m\nbs1,1.0\nbs1,2.0\nbs2,1.0\n"
+                        f"bs2,{bad}\nbs3,1.0\nbs3,2.0\n")
+        code, out, err = run_cli(capsys, [
+            "associate", "--scene", str(scenes_dir / "example1.json"), "--profiles", str(prof),
+        ])
+        assert code == 1
+        assert out == ""
+        assert f"{prof}: row 4" in err
 
     def test_output_file(self, capsys, tmp_path, scenes_dir):
         out_path = tmp_path / "report.json"
@@ -336,6 +376,33 @@ class TestDeterminismAndConfig:
         ])
         assert out_env == out_explicit
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestGoldenReports:
+    """Report bytes pinned for fixed seeds; any change to them must be deliberate."""
+
+    RUNS = {
+        "uniqueness": (
+            ["montecarlo", "--mode", "uniqueness", "--trials", "300", "--seed", "2024"],
+            "ffee62161497c2a65bd229336669fdfa0b13177050e998915205ba7e91103175",
+            "52777d72ad8ba07aa5416ffb34c68c986573a89d11be3b00af8648970cdd3441",
+        ),
+        "accuracy": (
+            ["montecarlo", "--mode", "accuracy", "--num-bs", "4", "--num-targets", "3",
+             "--sigma-list", "0.0,0.1,0.5,1.0", "--trials", "20", "--seed", "2025"],
+            "285352bba393e694df0350ffae550eb38bfa5ff4c23f2933f5c4b6caa22b10fc",
+            "e69d8ada998f3ad1ef74940e63fbf94557ebf37ae28f8f7d8a3c1c9c8543ccda",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_report_sha256(self, capsys, tmp_path, name):
+        argv, json_sha, csv_sha = self.RUNS[name]
+        out = tmp_path / f"{name}.json"
+        code, _, _ = run_cli(capsys, argv + ["--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
+        assert hashlib.sha256(out.with_suffix(".csv").read_bytes()).hexdigest() == csv_sha
 
 
 class TestIrsCli:

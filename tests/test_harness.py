@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from netsense import harness
 from netsense.harness import (
     ExperimentSpec,
     NoiseModel,
@@ -203,3 +204,24 @@ class TestAccuracyExperiment:
             math.sqrt(0.1 ** 2 + step ** 2 / 12.0), rel=1e-12
         )
         assert NoiseModel(0.1).effective_sigma_m() == 0.1
+
+
+class TestChunking:
+    @pytest.mark.parametrize("cap", [1, 81, 100_000])
+    def test_reports_independent_of_row_cap(self, monkeypatch, cap):
+        plan = RandomScenePlan(num_bs=4, num_targets=3, bounds=Bounds(-150, -150, 150, 150))
+        spec = ExperimentSpec(random_plan=plan, trials=12, seed=21, feas_tol_m=1e-4)
+        unique = run_uniqueness_experiment(spec).to_dict()
+        accuracy = run_accuracy_experiment(spec, [0.0, 0.5]).to_dict()
+        monkeypatch.setattr(harness, "CHUNK_ROWS", cap)
+        assert run_uniqueness_experiment(spec).to_dict() == unique
+        assert run_accuracy_experiment(spec, [0.0, 0.5]).to_dict() == accuracy
+
+    def test_partial_trials_inside_a_chunk(self):
+        # Far targets go undetected: a chunk mixes partial and solved trials.
+        plan = RandomScenePlan(num_bs=3, num_targets=2, bounds=Bounds(-400, -400, 400, 400))
+        spec = ExperimentSpec(random_plan=plan, trials=40, seed=5, feas_tol_m=1e-4)
+        report = run_uniqueness_experiment(spec)
+        partial = [r["partial"] for r in report.records]
+        assert any(partial) and not all(partial)
+        assert all(r["correct_found"] for r in report.records if not r["partial"])

@@ -228,3 +228,62 @@ class TestTriangulate:
                 continue
             p = triangulate(a1, b1, a2, b2)
             assert math.hypot(p.x - t.x, p.y - t.y) < 1e-9
+
+
+def subproblem_rows(anchors_xy, targets_xy, noise=0.0, rng=None):
+    """All K^M anchor-wise index combinations of the exact (or noisy) ranges."""
+    m, k = len(anchors_xy), len(targets_xy)
+    d = np.linalg.norm(anchors_xy[:, None, :] - targets_xy[None, :, :], axis=2)  # (M, K)
+    if noise:
+        d = np.abs(d + rng.normal(0.0, noise, d.shape))
+    combos = np.indices((k,) * m).reshape(m, -1).T
+    return d[np.arange(m), combos]
+
+
+class TestPerRowAnchors:
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_stacked_solve_bitwise_equals_separate_calls(self, m):
+        rng = np.random.default_rng(40 + m)
+        problems = []
+        for i in range(10):
+            anchors = rng.uniform(-100, 100, (m, 2))
+            targets = rng.uniform(-150, 150, (int(rng.integers(1, 4)), 2))
+            noise = (0.0, 0.1, 5.0)[i % 3]
+            problems.append((anchors, subproblem_rows(anchors, targets, noise, rng)))
+        separate = [solve_ranges_batch(a, d) for a, d in problems]
+        stacked = solve_ranges_batch(
+            np.concatenate([np.broadcast_to(a, (len(d),) + a.shape) for a, d in problems]),
+            np.concatenate([d for _, d in problems]),
+        )
+        for got, parts in zip(stacked, zip(*separate)):
+            want = np.concatenate(parts)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_shared_anchor_form_matches_per_row_form(self):
+        rng = np.random.default_rng(3)
+        distances = rng.uniform(0.0, 12.0, (50, 3))
+        shared = solve_ranges_batch(EXAMPLE_BS_XY, distances)
+        per_row = solve_ranges_batch(np.broadcast_to(EXAMPLE_BS_XY, (50, 3, 2)), distances)
+        for a, b in zip(shared, per_row):
+            assert np.array_equal(a, b)
+
+    def test_collinear_row_rejected(self):
+        anchors = np.stack([EXAMPLE_BS_XY, [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]])
+        with pytest.raises(GeometryError, match="row 1"):
+            solve_ranges_batch(anchors, np.ones((2, 3)))
+
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            solve_ranges_batch(np.broadcast_to(EXAMPLE_BS_XY, (2, 3, 2)), np.ones((3, 3)))
+
+    def test_too_few_anchors_rejected(self):
+        with pytest.raises(ValueError):
+            solve_ranges_batch(np.zeros((4, 2, 2)), np.ones((4, 2)))
+
+
+class TestNonFiniteRanges:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_range_measurement_rejects(self, bad):
+        with pytest.raises(ValueError, match="bs1.*finite"):
+            RangeMeasurement("bs1", bad)

@@ -23,13 +23,20 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GeometryError, InfeasibleAssociationError, UnequalCardinalityError
+from .link_budget import LinkBudgetParams
 from .localization import PositionEstimate, solve_ranges_batch
-from .scene import Bounds, Point2, Scene, points_are_collinear, random_scene, true_distance
+from .scene import Bounds, Point2, Scene, points_are_collinear, true_distance
 
 # Residuals within this band of the minimum are treated as ties and broken
 # by lexicographic hypothesis order, keeping runs reproducible when several
 # hypotheses are feasible at numerical-zero residual.
 RESIDUAL_TIE_EPS_M = 1e-12
+
+# Most hypotheses the exhaustive scan materializes at once. Its index table
+# alone takes hypotheses x M x 8 bytes, 40 MB at this cap with M=5; K=4
+# targets at M=5 anchors (331,776 hypotheses) is the largest size in use,
+# and K=5 at M=5 would take 8.3 GB.
+MAX_HYPOTHESES = 1_000_000
 
 @dataclass(frozen=True)
 class DistanceProfile:
@@ -172,12 +179,18 @@ def _hypothesis_tables(n_targets: int, n_anchors: int) -> tuple[list[tuple[int, 
     """All hypotheses as per-anchor permutation indices, in lexicographic order.
 
     Returns (perms, perm_idx) where perms lists the K! permutations and
-    perm_idx has shape (H, M-1) with H = (K!)^(M-1).
+    perm_idx has shape (H, M-1) with H = (K!)^(M-1). Raises ValueError when
+    H exceeds MAX_HYPOTHESES.
     """
+    n_free = n_anchors - 1
+    total = math.factorial(n_targets) ** n_free
+    if total > MAX_HYPOTHESES:
+        raise ValueError(
+            f"K={n_targets} targets at M={n_anchors} anchors give {total:,} association "
+            f"hypotheses, about {total * n_anchors * 8:,} bytes of index tables; "
+            f"the exhaustive scan is capped at {MAX_HYPOTHESES:,}")
     perms = list(itertools.permutations(range(n_targets)))
     n_perms = len(perms)
-    n_free = n_anchors - 1
-    total = n_perms ** n_free
     h = np.arange(total)
     cols = [(h // n_perms ** (n_free - 1 - j)) % n_perms for j in range(n_free)]
     return perms, np.stack(cols, axis=1)
@@ -207,7 +220,7 @@ def enumerate_feasible(
     permutation tuples for anchors 2..M are examined. A hypothesis is kept
     iff every target slot trilaterates with residual_rms <= feas_tol_m.
     Results are sorted by max residual ascending (ties in lexicographic
-    hypothesis order).
+    hypothesis order). Raises ValueError above MAX_HYPOTHESES hypotheses.
 
     When given, ``stats`` receives bookkeeping: hypotheses_examined and
     best_max_residual_m over the whole search space. ``table`` is the
@@ -291,7 +304,8 @@ def solve_association_bnb(
     tie-break by lexicographic hypothesis order picks exactly what the
     exhaustive search picks. When nothing is feasible, the
     InfeasibleAssociationError carries the best max residual from a full
-    scan of the same table. ``table`` is as in ``enumerate_feasible``.
+    scan of the same table, which is subject to MAX_HYPOTHESES. ``table`` is
+    as in ``enumerate_feasible``.
     """
     if table is None:
         table = subproblem_table(profiles, anchors)
@@ -409,50 +423,42 @@ def ghost_probability(
     feas_tol_m: float = 1e-4,
     seed: int = 0,
     scene: Scene | None = None,
-    rcs_dbsm: float = -10.0,
-    match_radius_m: float = 1e-3,
 ) -> GhostProbabilityResult:
     """Fraction of trials whose exact-range association is non-unique.
 
-    Each trial draws a fresh random scene (or reuses ``scene`` when given),
-    synthesizes exact distances, and counts the feasible hypotheses. Trials
-    with zero feasible hypotheses are reported separately.
+    The harness's uniqueness experiment with every (BS, target) pair
+    detected: each trial draws a fresh random scene (or reuses ``scene``
+    when given), synthesizes exact distances, and counts the feasible
+    hypotheses. Trials with zero feasible hypotheses are reported separately.
     """
+    from . import harness  # harness imports this module
+
     if num_trials < 1:
         raise ValueError("num_trials must be at least 1")
     if num_bs < 3:
         raise ValueError("num_bs must be at least 3")
-
-    trial_seeds = np.random.SeedSequence(seed).generate_state(num_trials)
-    outcomes = []
-    ghost_seeds = []
-    infeasible_seeds = []
-    for trial, trial_seed in enumerate(int(s) for s in trial_seeds):
-        trial_scene = scene if scene is not None else random_scene(
-            num_bs, num_targets, bounds, rcs_dbsm=rcs_dbsm, seed=trial_seed
+    spec = harness.ExperimentSpec(
+        scene=scene,
+        random_plan=None if scene is not None else harness.RandomScenePlan(
+            num_bs, num_targets, bounds),
+        # Unbounded transmit power makes covered() true at every distance.
+        link=LinkBudgetParams(pt_watts=math.inf),
+        trials=num_trials,
+        seed=seed,
+        feas_tol_m=feas_tol_m,
+    )
+    outcomes = tuple(
+        GhostTrialOutcome(
+            trial=r["trial"], seed=r["seed"], feasible_count=r["feasible_count"],
+            ghost=r["ghost"], infeasible=r["feasible_count"] == 0,
+            correct_found=r["correct_found"],
         )
-        profiles = exact_profiles(trial_scene)
-        solutions = enumerate_feasible(profiles, trial_scene.bs_positions(), feas_tol_m)
-        truth = [t.position for t in trial_scene.targets]
-        correct = any(
-            all(true_distance(est.position, truth[k]) <= match_radius_m
-                for k, est in enumerate(sol.estimates))
-            for sol in solutions
-        )
-        ghost = len(solutions) > 1
-        infeasible = len(solutions) == 0
-        if ghost:
-            ghost_seeds.append(trial_seed)
-        if infeasible:
-            infeasible_seeds.append(trial_seed)
-        outcomes.append(GhostTrialOutcome(
-            trial=trial, seed=trial_seed, feasible_count=len(solutions),
-            ghost=ghost, infeasible=infeasible, correct_found=correct,
-        ))
+        for r in harness.run_uniqueness_experiment(spec).records
+    )
     return GhostProbabilityResult(
-        fraction=len(ghost_seeds) / num_trials,
+        fraction=sum(o.ghost for o in outcomes) / num_trials,
         num_trials=num_trials,
-        ghost_seeds=tuple(ghost_seeds),
-        infeasible_seeds=tuple(infeasible_seeds),
-        outcomes=tuple(outcomes),
+        ghost_seeds=tuple(o.seed for o in outcomes if o.ghost),
+        infeasible_seeds=tuple(o.seed for o in outcomes if o.infeasible),
+        outcomes=outcomes,
     )

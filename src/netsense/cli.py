@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -51,6 +51,23 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
 
 
@@ -98,16 +115,22 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 def _add_link_flags(parser: argparse.ArgumentParser) -> None:
     g = parser.add_argument_group("link budget (Table-style defaults)")
-    g.add_argument("--pt-watts", type=float, default=10.0, help="transmit power [W]")
-    g.add_argument("--gt-dbi", type=float, default=20.0, help="transmit antenna gain [dBi]")
-    g.add_argument("--gr-dbi", type=float, default=20.0, help="receive antenna gain [dBi]")
-    g.add_argument("--gp-db", type=float, default=10.0, help="processing gain [dB]")
-    g.add_argument("--carrier-hz", type=float, default=3.5e9, help="carrier frequency [Hz]")
-    g.add_argument("--rcs-dbsm", type=float, default=-10.0, help="target RCS [dBsm]")
-    g.add_argument("--temperature-k", type=float, default=290.0, help="noise temperature [K]")
-    g.add_argument("--bandwidth-hz", type=float, default=100e6, help="bandwidth [Hz]")
-    g.add_argument("--noise-factor-db", type=float, default=5.0, help="noise factor [dB]")
-    g.add_argument("--snr-min-db", type=float, default=10.0, help="sensing SNR threshold [dB]")
+    g.add_argument("--pt-watts", type=_finite_float, default=10.0, help="transmit power [W]")
+    g.add_argument("--gt-dbi", type=_finite_float, default=20.0,
+                   help="transmit antenna gain [dBi]")
+    g.add_argument("--gr-dbi", type=_finite_float, default=20.0,
+                   help="receive antenna gain [dBi]")
+    g.add_argument("--gp-db", type=_finite_float, default=10.0, help="processing gain [dB]")
+    g.add_argument("--carrier-hz", type=_finite_float, default=3.5e9,
+                   help="carrier frequency [Hz]")
+    g.add_argument("--rcs-dbsm", type=_finite_float, default=-10.0, help="target RCS [dBsm]")
+    g.add_argument("--temperature-k", type=_finite_float, default=290.0,
+                   help="noise temperature [K]")
+    g.add_argument("--bandwidth-hz", type=_finite_float, default=100e6, help="bandwidth [Hz]")
+    g.add_argument("--noise-factor-db", type=_finite_float, default=5.0,
+                   help="noise factor [dB]")
+    g.add_argument("--snr-min-db", type=_finite_float, default=10.0,
+                   help="sensing SNR threshold [dB]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,9 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True, help="scene JSON path")
     p.add_argument("--profiles", default=None,
                    help="CSV with header anchor_id,distance_m; default: exact distances")
-    p.add_argument("--tol", type=float, default=1e-6, help="feasibility tolerance [m]")
+    p.add_argument("--tol", type=_positive_float, default=1e-6, help="feasibility tolerance [m]")
     p.add_argument("--solver", choices=("exhaustive", "bnb"), default="exhaustive")
-    p.add_argument("--match-radius", type=float, default=1e-3,
+    p.add_argument("--match-radius", type=_finite_float, default=1e-3,
                    help="ghost/ground-truth match radius [m]")
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
@@ -153,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--num-bs", type=int, default=3)
     p.add_argument("--num-targets", type=int, default=2)
-    p.add_argument("--bounds", type=float, nargs=4, default=[-150.0, -150.0, 150.0, 150.0],
+    p.add_argument("--bounds", type=_finite_float, nargs=4, default=[-150.0, -150.0, 150.0, 150.0],
                    metavar=("XMIN", "YMIN", "XMAX", "YMAX"))
-    p.add_argument("--tol", type=float, default=1e-4, help="feasibility tolerance [m]")
+    p.add_argument("--tol", type=_positive_float, default=1e-4, help="feasibility tolerance [m]")
     p.add_argument("--scene", default=None, help="fixed scene JSON (replaces random draws)")
     p.add_argument("--out", default="ghosts.csv", help="per-trial outcome CSV")
 
@@ -173,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", default=None, help="fixed scene JSON (default: random per trial)")
     p.add_argument("--num-bs", type=int, default=3)
     p.add_argument("--num-targets", type=int, default=2)
-    p.add_argument("--bounds", type=float, nargs=4, default=[-150.0, -150.0, 150.0, 150.0],
+    p.add_argument("--bounds", type=_finite_float, nargs=4, default=[-150.0, -150.0, 150.0, 150.0],
                    metavar=("XMIN", "YMIN", "XMAX", "YMAX"))
-    p.add_argument("--tol", type=float, default=1e-4, help="feasibility tolerance [m]")
+    p.add_argument("--tol", type=_positive_float, default=1e-4, help="feasibility tolerance [m]")
     p.add_argument("--quantize", action="store_true",
                    help="round ranges to the c/(2B) resolution grid")
     p.add_argument("--workers", type=_positive_int, default=1, help="parallel trial workers")
@@ -229,18 +252,18 @@ def _read_csv(path: str, required: Sequence[str]) -> list[dict]:
         return list(reader)
 
 
-def _csv_distance(path: str, index: int, row: dict) -> float:
-    """Data row ``index``'s distance_m as a finite, nonnegative float.
+def _csv_distance(path: str, index: int, row: dict, column: str) -> float:
+    """Data row ``index``'s ``column`` as a finite, nonnegative float.
 
     Errors name the file and the row, counted from 1 after the header.
     """
-    raw = row["distance_m"]
+    raw = row[column]
     try:
         value = float(raw)
     except (TypeError, ValueError):
         value = math.nan
     if not math.isfinite(value) or value < 0:
-        raise ValueError(f"{path}: row {index}: distance_m must be a finite, "
+        raise ValueError(f"{path}: row {index}: {column} must be a finite, "
                          f"nonnegative number, got {raw!r}")
     return value
 
@@ -250,16 +273,7 @@ def _csv_distance(path: str, index: int, row: dict) -> float:
 
 def _link_params(opts: dict) -> link_budget.LinkBudgetParams:
     return link_budget.LinkBudgetParams(
-        pt_watts=opts["pt_watts"],
-        gt_dbi=opts["gt_dbi"],
-        gr_dbi=opts["gr_dbi"],
-        gp_db=opts["gp_db"],
-        carrier_hz=opts["carrier_hz"],
-        rcs_dbsm=opts["rcs_dbsm"],
-        temperature_k=opts["temperature_k"],
-        bandwidth_hz=opts["bandwidth_hz"],
-        noise_factor_db=opts["noise_factor_db"],
-    )
+        **{f.name: opts[f.name] for f in fields(link_budget.LinkBudgetParams) if f.init})
 
 
 def _cmd_coverage(opts: dict) -> None:
@@ -312,7 +326,8 @@ def _cmd_localize(opts: dict) -> None:
     scn = scene.load_scene(opts["scene"])
     rows = _read_csv(opts["measurements"], ["anchor_id", "distance_m"])
     measurements = [
-        localization.RangeMeasurement(row["anchor_id"], _csv_distance(opts["measurements"], i, row))
+        localization.RangeMeasurement(
+            row["anchor_id"], _csv_distance(opts["measurements"], i, row, "distance_m"))
         for i, row in enumerate(rows, start=1)
     ]
     positions = _anchor_positions(scn)
@@ -333,7 +348,8 @@ def _profiles_from_csv(path: str, scn: scene.Scene) -> list[association.Distance
     rows = _read_csv(path, ["anchor_id", "distance_m"])
     by_anchor: dict[str, list[float]] = {}
     for i, row in enumerate(rows, start=1):
-        by_anchor.setdefault(row["anchor_id"], []).append(_csv_distance(path, i, row))
+        by_anchor.setdefault(row["anchor_id"], []).append(
+            _csv_distance(path, i, row, "distance_m"))
     bs_ids = [a.id for a in scn.base_stations]
     missing = [i for i in bs_ids if i not in by_anchor]
     if missing:
@@ -411,18 +427,8 @@ def _cmd_ghosts(opts: dict) -> None:
         seed=opts["seed"],
         scene=fixed_scene,
     )
-    fieldnames = ["trial", "seed", "feasible_count", "ghost", "infeasible", "correct_found"]
-    rows = [
-        {
-            "trial": o.trial,
-            "seed": o.seed,
-            "feasible_count": o.feasible_count,
-            "ghost": o.ghost,
-            "infeasible": o.infeasible,
-            "correct_found": o.correct_found,
-        }
-        for o in result.outcomes
-    ]
+    fieldnames = [f.name for f in fields(association.GhostTrialOutcome)]
+    rows = [asdict(o) for o in result.outcomes]
     emit_report({"fieldnames": fieldnames, "rows": rows}, "csv", opts["out"])
     print(f"ghost_fraction,{result.fraction!r}")
     print(f"ghost_trials,{len(result.ghost_seeds)}")
@@ -436,8 +442,8 @@ def _cmd_irs(opts: dict) -> None:
     irs_ids = {a.id for a in scn.irs_anchors}
     if not irs_ids:
         raise ValueError("scene has no IRS anchor")
-    rows = _read_csv(opts["measurements"],
-                     ["bs_id", "irs_id", "direct_roundtrip_m", "composite_roundtrip_m"])
+    path = opts["measurements"]
+    rows = _read_csv(path, ["bs_id", "irs_id", "direct_roundtrip_m", "composite_roundtrip_m"])
     if not rows:
         raise ValueError("measurement CSV has no rows")
     referenced_irs = {row["irs_id"] for row in rows}
@@ -448,15 +454,15 @@ def _cmd_irs(opts: dict) -> None:
 
     bs_measurements = []
     recovered = []
-    for row in rows:
+    for i, row in enumerate(rows, start=1):
         bs_id = row["bs_id"]
         if bs_id not in positions:
             raise ValueError(f"unknown BS id in measurements: {bs_id}")
         m = irs.IrsPathMeasurement(
             bs_id=bs_id,
             irs_id=irs_id,
-            direct_roundtrip_m=float(row["direct_roundtrip_m"]),
-            composite_roundtrip_m=float(row["composite_roundtrip_m"]),
+            direct_roundtrip_m=_csv_distance(path, i, row, "direct_roundtrip_m"),
+            composite_roundtrip_m=_csv_distance(path, i, row, "composite_roundtrip_m"),
         )
         recovered.append(irs.irs_target_distance(m, positions[bs_id], irs_pos))
         bs_measurements.append(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -76,7 +76,7 @@ class ExperimentSpec:
 
     scene: Scene | None = None
     random_plan: RandomScenePlan | None = None
-    link: LinkBudgetParams = None  # type: ignore[assignment]
+    link: LinkBudgetParams = field(default_factory=LinkBudgetParams)
     snr_min_db: float = 10.0
     noise: NoiseModel = NoiseModel()
     trials: int = 1
@@ -88,39 +88,16 @@ class ExperimentSpec:
             raise ValueError("provide exactly one of scene or random_plan")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.link is None:
-            object.__setattr__(self, "link", LinkBudgetParams())
 
     def to_dict(self) -> dict:
-        return {
-            "scene": scene_to_dict(self.scene) if self.scene is not None else None,
-            "random_plan": None if self.random_plan is None else {
-                "num_bs": self.random_plan.num_bs,
-                "num_targets": self.random_plan.num_targets,
-                "bounds": list(self.random_plan.bounds.as_tuple()),
-                "rcs_dbsm": self.random_plan.rcs_dbsm,
-            },
-            "link": {
-                "pt_watts": self.link.pt_watts,
-                "gt_dbi": self.link.gt_dbi,
-                "gr_dbi": self.link.gr_dbi,
-                "gp_db": self.link.gp_db,
-                "carrier_hz": self.link.carrier_hz,
-                "rcs_dbsm": self.link.rcs_dbsm,
-                "temperature_k": self.link.temperature_k,
-                "bandwidth_hz": self.link.bandwidth_hz,
-                "noise_factor_db": self.link.noise_factor_db,
-            },
-            "snr_min_db": self.snr_min_db,
-            "noise": {
-                "range_sigma_m": self.noise.range_sigma_m,
-                "quantize_to_resolution": self.noise.quantize_to_resolution,
-                "bandwidth_hz": self.noise.bandwidth_hz,
-            },
-            "trials": self.trials,
-            "seed": self.seed,
-            "feas_tol_m": self.feas_tol_m,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["scene"] = None if self.scene is None else scene_to_dict(self.scene)
+        if self.random_plan is not None:
+            out["random_plan"] = {**asdict(self.random_plan),
+                                  "bounds": list(self.random_plan.bounds.as_tuple())}
+        out["link"] = {f.name: getattr(self.link, f.name) for f in fields(self.link) if f.init}
+        out["noise"] = asdict(self.noise)
+        return out
 
 
 @dataclass(frozen=True)

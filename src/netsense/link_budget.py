@@ -47,7 +47,10 @@ class LinkBudgetParams:
         temperature_k: receiver noise temperature [K]
         bandwidth_hz: receiver bandwidth [Hz]
         noise_factor_db: receiver noise factor [dB]
-        boltzmann: Boltzmann constant [J/K], fixed
+
+    Boltzmann's constant is fixed at BOLTZMANN_JPK. Finite inputs are the
+    caller's concern: an infinite ``pt_watts`` is accepted and gives an
+    unbounded coverage radius.
     """
 
     pt_watts: float = 10.0
@@ -59,7 +62,6 @@ class LinkBudgetParams:
     temperature_k: float = 290.0
     bandwidth_hz: float = 100e6
     noise_factor_db: float = 5.0
-    boltzmann: float = BOLTZMANN_JPK
 
     # Linear-domain values derived once after construction.
     wavelength_m: float = field(init=False, repr=False)
@@ -70,7 +72,7 @@ class LinkBudgetParams:
     noise_factor_linear: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("pt_watts", "carrier_hz", "temperature_k", "bandwidth_hz", "boltzmann"):
+        for name in ("pt_watts", "carrier_hz", "temperature_k", "bandwidth_hz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
         self.wavelength_m = SPEED_OF_LIGHT_MPS / self.carrier_hz
@@ -85,7 +87,7 @@ class LinkBudgetParams:
                 * self.wavelength_m ** 2 * self.rcs_m2)
 
     def _denominator_no_range(self) -> float:
-        return (FOUR_PI_CUBED * self.boltzmann * self.temperature_k
+        return (FOUR_PI_CUBED * BOLTZMANN_JPK * self.temperature_k
                 * self.bandwidth_hz * self.noise_factor_linear)
 
 

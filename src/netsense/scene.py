@@ -53,6 +53,10 @@ class Target:
     position: Point2
     rcs_dbsm: float = -10.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.rcs_dbsm):
+            raise ValueError(f"rcs_dbsm must be finite, got {self.rcs_dbsm}")
+
 
 @dataclass(frozen=True)
 class Bounds:
@@ -64,8 +68,9 @@ class Bounds:
     ymax: float
 
     def __post_init__(self):
-        if not (self.xmax > self.xmin and self.ymax > self.ymin):
-            raise ValueError("bounds must have positive extent")
+        width, height = self.xmax - self.xmin, self.ymax - self.ymin
+        if not (0 < width < math.inf and 0 < height < math.inf):
+            raise ValueError(f"bounds must have positive, finite extent, got {self.as_tuple()}")
 
     def contains(self, p: Point2) -> bool:
         return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
@@ -252,16 +257,28 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
+def _describe(exc: Exception) -> str:
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+def _entries(kind: str, items, make) -> tuple:
+    """make() of each JSON entry; a bad entry raises ValueError naming its id."""
+    out = []
+    for i, item in enumerate(items, start=1):
+        try:
+            out.append(make(item))
+        except (KeyError, TypeError, ValueError) as exc:
+            name = item.get("id", f"#{i}") if isinstance(item, dict) else f"#{i}"
+            raise ValueError(f"{kind} {name}: {_describe(exc)}") from None
+    return tuple(out)
+
+
 def scene_from_dict(data: dict) -> Scene:
     bounds = Bounds(*[float(v) for v in data["bounds"]])
-    anchors = tuple(
-        Anchor(str(a["id"]), AnchorKind(a["kind"]), Point2(float(a["x"]), float(a["y"])))
-        for a in data["anchors"]
-    )
-    targets = tuple(
-        Target(str(t["id"]), Point2(float(t["x"]), float(t["y"])), float(t.get("rcs_dbsm", -10.0)))
-        for t in data["targets"]
-    )
+    anchors = _entries("anchor", data["anchors"], lambda a: Anchor(
+        str(a["id"]), AnchorKind(a["kind"]), Point2(float(a["x"]), float(a["y"]))))
+    targets = _entries("target", data["targets"], lambda t: Target(
+        str(t["id"]), Point2(float(t["x"]), float(t["y"])), float(t.get("rcs_dbsm", -10.0))))
     return Scene(anchors=anchors, targets=targets, bounds=bounds)
 
 
@@ -270,4 +287,8 @@ def save_scene(scene: Scene, path: str | Path) -> None:
 
 
 def load_scene(path: str | Path) -> Scene:
-    return scene_from_dict(json.loads(Path(path).read_text()))
+    """Read a scene JSON file; a missing key or bad value raises ValueError naming the file."""
+    try:
+        return scene_from_dict(json.loads(Path(path).read_text()))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {_describe(exc)}") from None

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netsense import association
 from netsense.association import (
     DistanceProfile,
     SubproblemBatch,
@@ -375,3 +376,30 @@ class TestGhostProbability:
             ghost_probability(0, 3, 2, Bounds(-1, -1, 1, 1))
         with pytest.raises(ValueError):
             ghost_probability(1, 2, 2, Bounds(-1, -1, 1, 1))
+
+
+class TestHypothesisCap:
+    SCENE = random_scene(4, 3, Bounds(-150, -150, 150, 150), seed=5)  # K=3, M=4: 216
+
+    def test_sizes_in_use_are_admitted(self):
+        assert association.MAX_HYPOTHESES >= math.factorial(4) ** 4  # K=4, M=5
+
+    def test_enumeration_refused_above_cap(self, monkeypatch):
+        monkeypatch.setattr(association, "MAX_HYPOTHESES", 215)
+        with pytest.raises(ValueError, match=r"K=3 targets at M=4 anchors give 216 "
+                                             r"association hypotheses, about 6,912 bytes"):
+            enumerate_feasible(exact_profiles(self.SCENE), self.SCENE.bs_positions(), 1e-6)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(association, "MAX_HYPOTHESES", 216)
+        stats = {}
+        enumerate_feasible(exact_profiles(self.SCENE), self.SCENE.bs_positions(), 1e-6,
+                           stats=stats)
+        assert stats["hypotheses_examined"] == 216
+
+    def test_bnb_infeasible_scan_refused_above_cap(self, monkeypatch):
+        monkeypatch.setattr(association, "MAX_HYPOTHESES", 215)
+        profiles = [DistanceProfile(p.anchor_id, tuple(d + 5.0 * m for d in p.distances))
+                    for m, p in enumerate(exact_profiles(self.SCENE))]
+        with pytest.raises(ValueError, match="K=3 targets at M=4 anchors"):
+            solve_association_bnb(profiles, self.SCENE.bs_positions(), 1e-6)

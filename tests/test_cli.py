@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from netsense import association
 from netsense.cli import (
     RunConfig,
     allowed_options,
@@ -15,6 +16,7 @@ from netsense.cli import (
     parse_and_dispatch,
     save_run_config,
 )
+from netsense.scene import Bounds, random_scene, save_scene
 
 
 def run_cli(capsys, args):
@@ -77,6 +79,46 @@ class TestUsage:
         code, _, err = run_cli(capsys, ["associate", "--scene", str(bad)])
         assert code == 1
         assert "collinear" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["associate", "--scene", "SCENE", "--tol", "nan"], "--tol"),
+        (["associate", "--scene", "SCENE", "--match-radius", "nan"], "--match-radius"),
+        (["ghosts", "--tol", "nan"], "--tol"),
+        (["ghosts", "--tol", "0"], "--tol"),
+        (["montecarlo", "--tol=-1e-4"], "--tol"),
+        (["montecarlo", "--bounds", "0", "0", "inf", "5"], "--bounds"),
+        (["montecarlo", "--rcs-dbsm=-inf"], "--rcs-dbsm"),
+        (["coverage", "--pt-watts", "nan"], "--pt-watts"),
+        (["coverage", "--snr-min-db", "inf"], "--snr-min-db"),
+    ])
+    def test_bad_float_flag_is_usage_error(self, capsys, tmp_path, scenes_dir, argv, flag):
+        argv = [str(scenes_dir / "example1.json") if a == "SCENE" else a for a in argv]
+        code, out, err = run_cli(capsys, argv + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"argument {flag}" in err
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
+
+class TestSceneJson:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("bounds"), "missing key 'bounds'"),
+        (lambda d: d["targets"][1].update(rcs_dbsm=math.nan), "target t2: rcs_dbsm must be finite"),
+        (lambda d: d["anchors"][1].pop("x"), "anchor bs2: missing key 'x'"),
+        (lambda d: d["anchors"][0].update(y="far"), "anchor bs1: could not convert"),
+    ], ids=["no-bounds", "nan-rcs", "no-x", "text-y"])
+    def test_bad_scene_names_file_and_entry(self, capsys, tmp_path, scenes_dir, edit, message):
+        data = json.loads((scenes_dir / "example1.json").read_text())
+        edit(data)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(data))
+        report = tmp_path / "r.json"
+        code, out, err = run_cli(capsys, [
+            "montecarlo", "--scene", str(path), "--trials", "3", "--out", str(report),
+        ])
+        assert code == 1
+        assert f"{path}: {message}" in err
+        assert not report.exists()
 
 
 class TestCoverage:
@@ -237,6 +279,15 @@ class TestAssociate:
         assert code == 0
         assert json.loads(out_path.read_text())["num_feasible"] == 2
 
+    def test_hypothesis_cap_is_domain_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(association, "MAX_HYPOTHESES", 215)
+        path = tmp_path / "k3m4.json"
+        save_scene(random_scene(4, 3, Bounds(-150, -150, 150, 150), seed=5), path)
+        code, out, err = run_cli(capsys, ["associate", "--scene", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "K=3 targets at M=4 anchors give 216 association hypotheses" in err
+
 
 class TestGhostsAndMonteCarlo:
     def test_ghosts_writes_csv(self, capsys, tmp_path):
@@ -393,6 +444,33 @@ class TestGoldenReports:
             "285352bba393e694df0350ffae550eb38bfa5ff4c23f2933f5c4b6caa22b10fc",
             "e69d8ada998f3ad1ef74940e63fbf94557ebf37ae28f8f7d8a3c1c9c8543ccda",
         ),
+        # Every link flag away from its default pins the serialized spec.link.
+        "link": (
+            ["montecarlo", "--mode", "uniqueness", "--trials", "200", "--seed", "12",
+             "--pt-watts", "5", "--gt-dbi", "18", "--gr-dbi", "19", "--gp-db", "12",
+             "--carrier-hz", "3e9", "--rcs-dbsm", "0", "--temperature-k", "300",
+             "--bandwidth-hz", "200e6", "--noise-factor-db", "7", "--snr-min-db", "8",
+             "--bounds", "-300", "-300", "300", "300"],
+            "243ad18dd9f47abc648b11629262bf72dc1f6cb890706399a38e1c1c23a5cbaa",
+            "2d44fe42bbb7c1ace3623029b4454b08af291a6c67d05523f44e82834e4b9398",
+        ),
+    }
+
+    # ghosts runs: CSV sha256 and the exact stdout.
+    GHOST_RUNS = {
+        "criterion5": (
+            ["ghosts", "--trials", "1000", "--seed", "20260810"],
+            "76c57f4cf7b9f256b997b0ffd716d3fc88e3f60322e28ead3d371f03fba37556",
+            "ghost_fraction,0.0\nghost_trials,0\ninfeasible_trials,0\ntrials,1000\n",
+        ),
+        # Coverage gating would mark 291 of these 300 trials partial (pairs up
+        # to 1131 m apart, against a 413 m radius); ghosts draws are never gated.
+        "beyond_coverage": (
+            ["ghosts", "--trials", "300", "--bounds", "-400", "-400", "400", "400",
+             "--seed", "8"],
+            "b7992a61511ccff2bd06d0be3f1f1b707ac375500dc9653cccd9537e59232989",
+            "ghost_fraction,0.0\nghost_trials,0\ninfeasible_trials,0\ntrials,300\n",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(RUNS))
@@ -403,6 +481,15 @@ class TestGoldenReports:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
         assert hashlib.sha256(out.with_suffix(".csv").read_bytes()).hexdigest() == csv_sha
+
+    @pytest.mark.parametrize("name", sorted(GHOST_RUNS))
+    def test_ghosts_sha256(self, capsys, tmp_path, name):
+        argv, csv_sha, stdout = self.GHOST_RUNS[name]
+        out = tmp_path / f"{name}.csv"
+        code, printed, _ = run_cli(capsys, argv + ["--out", str(out)])
+        assert code == 0
+        assert printed == stdout
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
 
 
 class TestIrsCli:
@@ -434,6 +521,23 @@ class TestIrsCli:
         ])
         assert code == 1
         assert "IRS" in err
+
+    @pytest.mark.parametrize("column, row", [
+        ("direct_roundtrip_m", "bs2,irs1,nan,12.0"),
+        ("composite_roundtrip_m", "bs2,irs1,6.0,inf"),
+        ("composite_roundtrip_m", "bs2,irs1,6.0,far"),
+    ])
+    def test_bad_roundtrip_names_file_row_and_column(self, capsys, tmp_path, scenes_dir,
+                                                     column, row):
+        meas = tmp_path / "irs.csv"
+        meas.write_text("bs_id,irs_id,direct_roundtrip_m,composite_roundtrip_m\n"
+                        f"bs1,irs1,6.0,12.0\n{row}\n")
+        code, out, err = run_cli(capsys, [
+            "irs", "--scene", str(scenes_dir / "fig5.json"), "--measurements", str(meas),
+        ])
+        assert code == 1
+        assert out == ""
+        assert f"{meas}: row 2: {column} must be a finite" in err
 
 
 class TestShippedScenes:

@@ -125,6 +125,21 @@ class TestRandomScene:
             random_scene(3, 1, BOUNDS, seed=0, collinearity_tol=10.0, max_attempts=25)
 
 
+class TestBounds:
+    @pytest.mark.parametrize("xy", [(0.0, 0.0, 0.0, 1.0), (0.0, 0.0, math.inf, 1.0),
+                                    (-1.7e308, 0.0, 1.7e308, 1.0), (0.0, math.nan, 1.0, 1.0)])
+    def test_rejects_empty_or_unbounded_extent(self, xy):
+        with pytest.raises(ValueError, match="positive, finite extent"):
+            Bounds(*xy)
+
+
+class TestTarget:
+    @pytest.mark.parametrize("rcs", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rcs(self, rcs):
+        with pytest.raises(ValueError, match="rcs_dbsm must be finite"):
+            Target("t1", Point2(0.0, 0.0), rcs)
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         scene = random_scene(4, 3, BOUNDS, seed=123)
@@ -148,3 +163,9 @@ class TestSerialization:
         assert data["bounds"] == [-6.0, -6.0, 6.0, 6.0]
         assert all(set(a) == {"id", "kind", "x", "y"} for a in data["anchors"])
         assert all(set(t) == {"id", "x", "y", "rcs_dbsm"} for t in data["targets"])
+
+    def test_bad_entry_without_id_named_by_position(self):
+        data = scene_to_dict(_scene([(0, 0), (5, 0), (0, 5)], [(1, 1)]))
+        del data["targets"][0]["id"]
+        with pytest.raises(ValueError, match="target #1: missing key 'id'"):
+            scene_from_dict(data)

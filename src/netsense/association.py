@@ -38,6 +38,14 @@ RESIDUAL_TIE_EPS_M = 1e-12
 # and K=5 at M=5 would take 8.3 GB.
 MAX_HYPOTHESES = 1_000_000
 
+# Most subproblem rows (K^M, one per distance index combination) a problem
+# may stack. Building and solving the table takes about
+# SUBPROBLEM_BYTES_PER_ROW_ANCHOR bytes per row and anchor (measured
+# 130-170 up to M=12), so the cap bounds it near 270 MB at M=6; K=6 at M=6
+# (46,656 rows) fits, K=8 at M=8 (16.8M rows, ~23 GB) does not.
+MAX_SUBPROBLEM_ROWS = 1 << 18
+SUBPROBLEM_BYTES_PER_ROW_ANCHOR = 170
+
 @dataclass(frozen=True)
 class DistanceProfile:
     """One BS's unordered set of extracted target distances, meters."""
@@ -97,6 +105,12 @@ def _check_inputs(profiles: Sequence[DistanceProfile], anchors_xy: np.ndarray) -
     n_targets = cardinalities.pop()
     if n_targets == 0:
         raise ValueError("profiles are empty")
+    rows = n_targets ** n_anchors
+    if rows > MAX_SUBPROBLEM_ROWS:
+        raise ValueError(
+            f"K={n_targets} targets at M={n_anchors} anchors give {rows:,} subproblem rows, "
+            f"about {rows * n_anchors * SUBPROBLEM_BYTES_PER_ROW_ANCHOR:,} bytes to build "
+            f"and solve; the table is capped at {MAX_SUBPROBLEM_ROWS:,} rows")
     for triple in itertools.combinations(range(n_anchors), 3):
         if points_are_collinear(anchors_xy[list(triple)]):
             raise GeometryError(f"anchors {triple} are collinear")

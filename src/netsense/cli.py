@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -28,6 +28,15 @@ COMMANDS = ("coverage", "ambiguity", "localize", "associate", "ghosts", "irs", "
 
 # Coverage table sample points, as fractions of the solved maximum range.
 COVERAGE_FRACTIONS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
+
+# Most --length x --doppler-bins cells an ambiguity run may ask for. Peak
+# heap use per cell, measured: about 60 bytes in cyclic mode, 90 in linear
+# mode (its FFTs are twice as long) and up to 170 for linear OFDM, whose
+# cyclic prefix can double the rows; AMBIGUITY_BYTES_PER_CELL rounds that
+# up. 2^22 cells bound a run near 840 MB; the benchmark's largest grid is
+# 1024 x 16.
+MAX_AMBIGUITY_CELLS = 1 << 22
+AMBIGUITY_BYTES_PER_CELL = 200
 
 
 class UsageError(ValueError):
@@ -69,6 +78,21 @@ def _positive_float(text: str) -> float:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
     return value
+
+
+def _sigma_list(text: str) -> str:
+    """Check a comma-separated list of finite, nonnegative sigmas.
+
+    Returns the text unchanged, so a saved RunConfig keeps the user's form.
+    """
+    for item in _split_sigmas(text):
+        if _finite_float(item) < 0:
+            raise argparse.ArgumentTypeError(f"must be nonnegative, got {item!r}")
+    return text
+
+
+def _split_sigmas(text: str) -> list[str]:
+    return [s for s in text.split(",") if s != ""]
 
 
 @dataclass(frozen=True)
@@ -191,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("uniqueness", "accuracy"), default="uniqueness")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--sigma-list", default="0.0,0.01,0.1",
+    p.add_argument("--sigma-list", type=_sigma_list, default="0.0,0.01,0.1",
                    help="comma-separated range sigmas [m] (accuracy mode)")
     p.add_argument("--scene", default=None, help="fixed scene JSON (default: random per trial)")
     p.add_argument("--num-bs", type=int, default=3)
@@ -227,19 +251,18 @@ def emit_report(report: dict, format: str, path: str | Path) -> None:
     """Write a deterministic JSON or CSV report.
 
     JSON output is stable-key-ordered. CSV expects the report as
-    {"fieldnames": [...], "rows": [list of dicts]} and always writes a
-    header row.
+    {"fieldnames": [...], "rows": iterable}, each row a sequence of values
+    in fieldnames order (None is written as an empty field), and always
+    writes a header row.
     """
     path = Path(path)
     if format == "json":
         path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     elif format == "csv":
-        fieldnames = report["fieldnames"]
         with path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            for row in report["rows"]:
-                writer.writerow(row)
+            writer = csv.writer(fh)
+            writer.writerow(report["fieldnames"])
+            writer.writerows(report["rows"])
     else:
         raise ValueError(f"unknown report format: {format!r}")
 
@@ -282,11 +305,11 @@ def _cmd_coverage(opts: dict) -> None:
     rows = []
     for frac in COVERAGE_FRACTIONS:
         r = frac * max_range
-        rows.append({"range_m": repr(r), "snr_db": repr(link_budget.sensing_snr(params, r).db)})
+        rows.append([repr(r), repr(link_budget.sensing_snr(params, r).db)])
     print(f"max_sensing_range_m,{max_range!r}")
     print("range_m,snr_db")
     for row in rows:
-        print(f"{row['range_m']},{row['snr_db']}")
+        print(",".join(row))
     if opts.get("out"):
         emit_report({"fieldnames": ["range_m", "snr_db"], "rows": rows}, "csv", opts["out"])
 
@@ -298,18 +321,19 @@ def _build_waveform(opts: dict) -> waveforms.ComplexSequence:
 
 
 def _cmd_ambiguity(opts: dict) -> None:
+    cells = opts["length"] * opts["doppler_bins"]
+    if cells > MAX_AMBIGUITY_CELLS:
+        raise ValueError(
+            f"--length {opts['length']} x --doppler-bins {opts['doppler_bins']} asks for "
+            f"{cells:,} ambiguity cells, about {cells * AMBIGUITY_BYTES_PER_CELL:,} bytes; "
+            f"the cap is {MAX_AMBIGUITY_CELLS:,} cells")
     seq = _build_waveform(opts)
     surface = waveforms.ambiguity(seq, doppler_bins=opts["doppler_bins"], mode=opts["mode"])
     metrics = waveforms.sidelobe_metrics(surface, mainlobe_exclusion=opts["mainlobe_exclusion"])
 
     db = 20.0 * np.log10(np.maximum(surface.magnitudes, 10.0 ** (waveforms.DB_FLOOR / 20.0)))
     fieldnames = ["delay_bin"] + [f"doppler_{f}" for f in surface.doppler_freqs]
-    rows = []
-    for tau in range(surface.delay_bins):
-        row = {"delay_bin": tau}
-        for j, f in enumerate(surface.doppler_freqs):
-            row[f"doppler_{f}"] = repr(float(db[tau, j]))
-        rows.append(row)
+    rows = ([tau, *map(repr, db_row)] for tau, db_row in enumerate(db.tolist()))
     emit_report({"fieldnames": fieldnames, "rows": rows}, "csv", opts["out"])
 
     print(f"waveform,{seq.label}")
@@ -428,7 +452,7 @@ def _cmd_ghosts(opts: dict) -> None:
         scene=fixed_scene,
     )
     fieldnames = [f.name for f in fields(association.GhostTrialOutcome)]
-    rows = [asdict(o) for o in result.outcomes]
+    rows = [astuple(o) for o in result.outcomes]
     emit_report({"fieldnames": fieldnames, "rows": rows}, "csv", opts["out"])
     print(f"ghost_fraction,{result.fraction!r}")
     print(f"ghost_trials,{len(result.ghost_seeds)}")
@@ -508,7 +532,7 @@ def _cmd_montecarlo(opts: dict) -> None:
         print(f"completed,{report.aggregates['completed']}")
         print(f"partial,{report.aggregates['partial']}")
     else:
-        sigmas = [float(s) for s in opts["sigma_list"].split(",") if s != ""]
+        sigmas = [float(s) for s in _split_sigmas(opts["sigma_list"])]
         report = harness.run_accuracy_experiment(spec, sigmas, workers=opts["workers"])
         fieldnames = ["sigma_m", "trial", "seed", "partial", "infeasible", "correct", "rmse_m"]
         for level in report.aggregates["levels"]:
@@ -518,7 +542,7 @@ def _cmd_montecarlo(opts: dict) -> None:
 
     emit_report(report.to_dict(), "json", opts["out"])
     trials_csv = opts.get("trials_csv") or str(Path(opts["out"]).with_suffix(".csv"))
-    rows = [{k: ("" if r[k] is None else r[k]) for k in fieldnames} for r in report.records]
+    rows = [[r[k] for k in fieldnames] for r in report.records]
     emit_report({"fieldnames": fieldnames, "rows": rows}, "csv", trials_csv)
     print(f"report,{opts['out']}")
     print(f"trials_csv,{trials_csv}")

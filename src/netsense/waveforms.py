@@ -5,6 +5,12 @@ Ambiguity is evaluated on a discrete grid: delay rows are sample shifts
 (cyclic or zero-padded linear), Doppler columns are integer cycles per
 sequence length in FFT ordering, so the zero-delay/zero-Doppler cell is
 grid index (0, 0).
+
+Only the requested Doppler columns are computed. Modulating x by
+exp(+j 2 pi nu n / N) circularly shifts its spectrum by nu bins, so each
+column is one inverse FFT of a shifted spectrum times the conjugate
+spectrum: O(N log N) time and O(N) memory per column, O(N D) in all for D
+columns, never the N x N delay-by-time grid.
 """
 
 from __future__ import annotations
@@ -122,6 +128,11 @@ def ambiguity(seq: ComplexSequence, doppler_bins: int = 1, mode: str = "cyclic")
     for cyclic mode; linear mode zero-pads instead of wrapping. Rows are
     delays 0..N-1, columns the FFT-ordered integer Doppler frequencies, and
     the surface is normalized so A(0, 0) = 1.
+
+    With X = FFT_L(x), L = N (cyclic) or 2N (linear, zero-padded so no lag
+    wraps), the modulated sequence has spectrum X[(k - nu L/N) mod L], and
+    the correlation over delay is the inverse FFT of that times conj(X[k]).
+    Work arrays are L x doppler_bins, so memory is O(N * doppler_bins).
     """
     x = seq.samples
     n_len = len(x)
@@ -130,17 +141,14 @@ def ambiguity(seq: ComplexSequence, doppler_bins: int = 1, mode: str = "cyclic")
     if mode not in ("cyclic", "linear"):
         raise ValueError(f"mode must be 'cyclic' or 'linear', got {mode!r}")
 
-    idx = np.arange(n_len)
-    lag_idx = idx[None, :] - idx[:, None]  # [tau, n] -> n - tau
-    products = x[None, :] * np.conj(x[lag_idx % n_len])
-    if mode == "linear":
-        products = np.where(lag_idx >= 0, products, 0.0)
-
-    # Positive-exponent DFT over n: sum_n y[n] exp(+j 2 pi nu n / N).
-    spectrum = np.fft.ifft(products, axis=1) * n_len
+    fft_len = n_len if mode == "cyclic" else 2 * n_len
+    spec = np.fft.fft(x, fft_len)
     freqs = _fft_freq_ints(doppler_bins)
-    cols = np.array(freqs) % n_len
-    mags = np.abs(spectrum[:, cols])
+    shift = np.array(freqs) * (fft_len // n_len)
+    cross = spec[(np.arange(fft_len)[None, :] - shift[:, None]) % fft_len]  # [nu, k]
+    cross *= np.conj(spec)
+    corr = np.fft.ifft(cross, axis=1)[:, :n_len]  # [nu, tau]
+    mags = np.abs(corr.T)
     mags = mags / mags[0, 0]
     return AmbiguitySurface(magnitudes=mags, doppler_freqs=freqs,
                             label=f"{seq.label}-{mode}")

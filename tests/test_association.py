@@ -262,7 +262,7 @@ def noisy_problem(seed, k, m, sigma):
 
 
 class TestBranchAndBoundProperty:
-    @settings(max_examples=60, deadline=None, database=None)
+    @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), m=st.integers(3, 4),
            sigma=st.sampled_from([0.01, 0.1, 1.0]), scale=st.floats(0.9, 1.1))
     def test_equals_exhaustive_near_tolerance(self, seed, k, m, sigma, scale):
@@ -403,3 +403,24 @@ class TestHypothesisCap:
                     for m, p in enumerate(exact_profiles(self.SCENE))]
         with pytest.raises(ValueError, match="K=3 targets at M=4 anchors"):
             solve_association_bnb(profiles, self.SCENE.bs_positions(), 1e-6)
+
+
+class TestSubproblemCap:
+    SCENE = TestHypothesisCap.SCENE  # K=3, M=4: 81 subproblem rows
+
+    def test_sizes_in_use_are_admitted(self):
+        assert association.MAX_SUBPROBLEM_ROWS >= 6 ** 6  # K=6, M=6
+
+    def test_refused_before_any_row_is_stacked(self, monkeypatch):
+        monkeypatch.setattr(association, "MAX_SUBPROBLEM_ROWS", 80)
+        batch = SubproblemBatch()
+        size = 81 * 4 * association.SUBPROBLEM_BYTES_PER_ROW_ANCHOR
+        with pytest.raises(ValueError, match=f"K=3 targets at M=4 anchors give 81 subproblem "
+                                             f"rows, about {size:,} bytes"):
+            batch.add(exact_profiles(self.SCENE), self.SCENE.bs_positions())
+        assert batch.solve() == []
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(association, "MAX_SUBPROBLEM_ROWS", 81)
+        table = subproblem_table(exact_profiles(self.SCENE), self.SCENE.bs_positions())
+        assert len(table.rms) == 81

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from netsense import association
+from netsense import association, cli, waveforms
 from netsense.cli import (
     RunConfig,
     allowed_options,
@@ -99,6 +99,25 @@ class TestUsage:
         assert out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("sigmas, bad", [
+        ("nan", "nan"), ("0.0,inf", "inf"), ("0.0,-0.1", "-0.1"), ("0.1,abc", "abc"),
+    ])
+    def test_bad_sigma_list_is_usage_error(self, capsys, tmp_path, sigmas, bad):
+        report = tmp_path / "r.json"
+        code, out, err = run_cli(capsys, [
+            "montecarlo", "--mode", "accuracy", "--trials", "3", "--sigma-list", sigmas,
+            "--out", str(report),
+        ])
+        assert code == 2
+        assert "argument --sigma-list" in err
+        assert repr(bad) in err
+        assert out == ""
+        assert not report.exists()
+
+    def test_sigma_list_keeps_its_text(self):
+        namespace = build_parser().parse_args(["montecarlo", "--sigma-list", "0.10,,1e-1"])
+        assert namespace.sigma_list == "0.10,,1e-1"
+
 
 class TestSceneJson:
     @pytest.mark.parametrize("edit, message", [
@@ -122,6 +141,29 @@ class TestSceneJson:
 
 
 class TestCoverage:
+    # CSV and stdout sha256, recorded before emit_report took row sequences.
+    GOLDEN = {
+        "default": (
+            [],
+            "671c40511b4082356f52e8126203cffbb225d66a1799beed3c723f156d4f30fb",
+            "2efbc9bb2f15c6609129d5cdf00f040c684ad45c2b4e1610ee524052e6736768",
+        ),
+        "vehicle_mmwave": (
+            ["--rcs-dbsm", "15", "--carrier-hz", "28e9"],
+            "c62ee3ef90ac960590b0be645472cb1738a29ad468ea8ad521951c1b4fc14ffc",
+            "cc771a55a38340aad22474931e8dc42537c940eb6c50e2497dba8e0a5d1799f3",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_outputs_sha256(self, capsys, tmp_path, name):
+        flags, csv_sha, stdout_sha = self.GOLDEN[name]
+        out_csv = tmp_path / "cov.csv"
+        code, out, _ = run_cli(capsys, ["coverage", *flags, "--out", str(out_csv)])
+        assert code == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+
     def test_pedestrian_max_range(self, capsys):
         code, out, _ = run_cli(capsys, ["coverage", "--rcs-dbsm", "-10"])
         assert code == 0
@@ -173,6 +215,38 @@ class TestAmbiguity:
         ])
         assert code == 1
         assert "coprime" in err
+
+    def test_sizes_in_use_are_admitted(self):
+        assert cli.MAX_AMBIGUITY_CELLS >= (1024 + 72) * 16  # the benchmark's OFDM grid
+
+    @pytest.mark.parametrize("waveform", ["zc", "ofdm"])
+    def test_grid_above_cap_refused_before_the_sequence(self, capsys, tmp_path, monkeypatch,
+                                                        waveform):
+        monkeypatch.setattr(cli, "MAX_AMBIGUITY_CELLS", 64 * 16 - 1)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sequence built before the size check")
+
+        monkeypatch.setattr(waveforms, "zadoff_chu", unreachable)
+        monkeypatch.setattr(waveforms, "ofdm_symbol", unreachable)
+        out_csv = tmp_path / "a.csv"
+        code, out, err = run_cli(capsys, [
+            "ambiguity", "--waveform", waveform, "--length", "64", "--doppler-bins", "16",
+            "--out", str(out_csv),
+        ])
+        assert code == 1
+        assert (f"--length 64 x --doppler-bins 16 asks for 1,024 ambiguity cells, "
+                f"about {1024 * cli.AMBIGUITY_BYTES_PER_CELL:,} bytes") in err
+        assert out == ""
+        assert not out_csv.exists()
+
+    def test_cap_is_inclusive(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_AMBIGUITY_CELLS", 64 * 16)
+        code, _, _ = run_cli(capsys, [
+            "ambiguity", "--length", "64", "--doppler-bins", "16",
+            "--out", str(tmp_path / "a.csv"),
+        ])
+        assert code == 0
 
 
 class TestLocalize:
@@ -288,6 +362,15 @@ class TestAssociate:
         assert out == ""
         assert "K=3 targets at M=4 anchors give 216 association hypotheses" in err
 
+    def test_subproblem_cap_is_domain_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(association, "MAX_SUBPROBLEM_ROWS", 80)
+        path = tmp_path / "k3m4.json"
+        save_scene(random_scene(4, 3, Bounds(-150, -150, 150, 150), seed=5), path)
+        code, out, err = run_cli(capsys, ["associate", "--scene", str(path)])
+        assert code == 1
+        assert out == ""
+        assert "K=3 targets at M=4 anchors give 81 subproblem rows" in err
+
 
 class TestGhostsAndMonteCarlo:
     def test_ghosts_writes_csv(self, capsys, tmp_path):
@@ -364,8 +447,8 @@ class TestDeterminismAndConfig:
 
     def test_emit_report_csv_header(self, tmp_path):
         path = tmp_path / "r.csv"
-        emit_report({"fieldnames": ["x", "y"], "rows": [{"x": 1, "y": 2}]}, "csv", path)
-        assert path.read_text().splitlines()[0] == "x,y"
+        emit_report({"fieldnames": ["x", "y"], "rows": [[1, 2], [0.5, None]]}, "csv", path)
+        assert path.read_text().splitlines() == ["x,y", "1,2", "0.5,"]
 
     def test_emit_report_empty_rows_valid(self, tmp_path):
         path = tmp_path / "empty.csv"

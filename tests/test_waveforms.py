@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from netsense.errors import InvalidRootError
 from netsense.waveforms import (
@@ -162,6 +164,25 @@ class TestAmbiguity:
         # side-lobe comparisons run on the zero-Doppler cut.
         surf = ambiguity(zadoff_chu(63, 25), doppler_bins=3)
         assert surf.magnitudes[58, 1] == pytest.approx(1.0, abs=1e-9)
+
+    @given(data=st.data(), mode=st.sampled_from(["cyclic", "linear"]))
+    def test_matches_brute_force_property(self, data, mode):
+        samples = data.draw(st.lists(
+            st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=24), label="samples")
+        doppler_bins = data.draw(st.integers(1, len(samples)), label="doppler_bins")
+        x = np.array(samples)
+        assume(np.mean(np.abs(x) ** 2) > 0)  # ComplexSequence refuses zero power
+        seq = ComplexSequence(x)
+        surf = ambiguity(seq, doppler_bins=doppler_bins, mode=mode)
+        expected = brute_force_ambiguity(seq.samples, surf.doppler_freqs, mode)
+        assert np.allclose(surf.magnitudes, expected, rtol=0, atol=1e-12)
+
+    def test_zc_benchmark_size_zero_doppler_sidelobes(self):
+        # The benchmark's pilot: N=1021, root 25, 16 Doppler bins, cyclic.
+        surf = ambiguity(zadoff_chu(1021, 25), doppler_bins=16, mode="cyclic")
+        assert surf.magnitudes[0, 0] == 1.0
+        assert 20.0 * np.log10(surf.magnitudes[1:, 0].max()) <= -200.0
 
     def test_parameter_validation(self):
         seq = zadoff_chu(63, 25)

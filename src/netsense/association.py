@@ -9,8 +9,9 @@ residual at or below the feasibility tolerance.
 A target slot's residual depends only on the distance index chosen at each
 anchor, so every solver works on one shared subproblem table: all K^M index
 combinations trilaterated in one batch. ``SubproblemBatch`` stacks the tables
-of many problems into a single solver call. The exhaustive scan and the
-branch-and-bound search are then index work over those residuals.
+of many problems into a single solver call. Enumeration and branch-and-bound
+are then one depth-first search over those residuals, which fills target
+slots in order and never builds the hypotheses it rules out.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from .scene import Bounds, Point2, Scene, points_are_collinear, true_distance
 # hypotheses are feasible at numerical-zero residual.
 RESIDUAL_TIE_EPS_M = 1e-12
 
-# Most hypotheses the exhaustive scan materializes at once. Its index table
-# alone takes hypotheses x M x 8 bytes, 40 MB at this cap with M=5; K=4
-# targets at M=5 anchors (331,776 hypotheses) is the largest size in use,
-# and K=5 at M=5 would take 8.3 GB.
+# Most hypotheses, (K!)^(M-1), a search may decide. It bounds what an
+# enumeration can return (every hypothesis is feasible at a loose enough
+# tolerance, each at least M x 8 bytes of indices) and the work of the
+# unpruned search behind an infeasible branch-and-bound. K=4 targets at M=5
+# anchors (331,776 hypotheses) is the largest size in use.
 MAX_HYPOTHESES = 1_000_000
 
 # Most subproblem rows (K^M, one per distance index combination) a problem
@@ -189,36 +191,77 @@ def subproblem_table(profiles: Sequence[DistanceProfile], anchors) -> _Subproble
     return batch.solve()[0]
 
 
-def _hypothesis_tables(n_targets: int, n_anchors: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """All hypotheses as per-anchor permutation indices, in lexicographic order.
-
-    Returns (perms, perm_idx) where perms lists the K! permutations and
-    perm_idx has shape (H, M-1) with H = (K!)^(M-1). Raises ValueError when
-    H exceeds MAX_HYPOTHESES.
-    """
-    n_free = n_anchors - 1
-    total = math.factorial(n_targets) ** n_free
+def _hypothesis_count(n_targets: int, n_anchors: int) -> int:
+    """(K!)^(M-1); raises ValueError above MAX_HYPOTHESES."""
+    total = math.factorial(n_targets) ** (n_anchors - 1)
     if total > MAX_HYPOTHESES:
         raise ValueError(
             f"K={n_targets} targets at M={n_anchors} anchors give {total:,} association "
-            f"hypotheses, about {total * n_anchors * 8:,} bytes of index tables; "
-            f"the exhaustive scan is capped at {MAX_HYPOTHESES:,}")
-    perms = list(itertools.permutations(range(n_targets)))
-    n_perms = len(perms)
-    h = np.arange(total)
-    cols = [(h // n_perms ** (n_free - 1 - j)) % n_perms for j in range(n_free)]
-    return perms, np.stack(cols, axis=1)
+            f"hypotheses, about {total * n_anchors * 8:,} bytes of indices if all were "
+            f"feasible; the search is capped at {MAX_HYPOTHESES:,}")
+    return total
 
 
-def _slot_residuals(table: _SubproblemTable, perms: list[tuple[int, ...]],
-                    perm_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and flat subproblem index per (hypothesis, slot)."""
-    k = table.k
-    perm_arr = np.array(perms)  # (K!, K)
-    flat = np.broadcast_to(np.arange(k), (len(perm_idx), k)).copy()  # anchor 1 identity
-    for m in range(perm_idx.shape[1]):
-        flat = flat * k + perm_arr[perm_idx[:, m]]
-    return table.rms[flat], flat
+def _search(table: _SubproblemTable, tol: float, best: bool) -> list[tuple]:
+    """Depth-first search for hypotheses whose every slot meets ``tol``.
+
+    Slot k's candidates are the table rows whose anchor-1 index is k and
+    whose residual is at most ``tol``, in ascending residual order (stable);
+    a candidate is taken only if none of its distance indices at anchors
+    2..M is used yet. With ``best`` false every complete hypothesis is
+    returned. With ``best`` true a branch is cut once its partial max
+    residual exceeds the best complete one by more than RESIDUAL_TIE_EPS_M,
+    and exactly the hypotheses within that band of the optimum are returned.
+    Each result is (max_residual_m, assignment, flat row per slot).
+    """
+    k, m = table.k, table.m
+    per_slot = k ** (m - 1)
+    rms = table.rms.reshape(k, per_slot)  # row s: anchor-1 index s
+    candidates = []
+    for s in range(k):
+        rows = np.flatnonzero(rms[s] <= tol)
+        rows = rows[np.argsort(rms[s, rows], kind="stable")]
+        combos = zip(*(a.tolist() for a in np.unravel_index(rows, (k,) * (m - 1))))
+        candidates.append([(combo, float(rms[s, i]), s * per_slot + i)
+                           for combo, i in zip(combos, rows.tolist())])
+
+    used = [[False] * k for _ in range(m - 1)]
+    chosen: list[tuple[tuple[int, ...], int]] = []
+    incumbent = math.inf
+    found: list[tuple] = []
+
+    def dfs(slot: int, partial_max: float) -> None:
+        nonlocal incumbent
+        if slot == k:
+            assignment = (tuple(range(k)),) + tuple(
+                tuple(combo[a] for combo, _ in chosen) for a in range(m - 1))
+            found.append((partial_max, assignment, tuple(flat for _, flat in chosen)))
+            if best and partial_max < incumbent:
+                incumbent = partial_max
+                found[:] = [f for f in found if f[0] <= incumbent + RESIDUAL_TIE_EPS_M]
+            return
+        for combo, residual, flat in candidates[slot]:
+            new_max = max(partial_max, residual)
+            if new_max > incumbent + RESIDUAL_TIE_EPS_M:
+                break  # candidates ascend, so every later one is cut too
+            if any(used[a][j] for a, j in enumerate(combo)):
+                continue
+            for a, j in enumerate(combo):
+                used[a][j] = True
+            chosen.append((combo, flat))
+            dfs(slot + 1, new_max)
+            chosen.pop()
+            for a, j in enumerate(combo):
+                used[a][j] = False
+
+    dfs(0, 0.0)
+    return found
+
+
+def _best_max_residual(table: _SubproblemTable) -> float:
+    """Smallest max slot residual over all hypotheses: the search with no tolerance."""
+    _hypothesis_count(table.k, table.m)
+    return min(f[0] for f in _search(table, math.inf, best=True))
 
 
 def enumerate_feasible(
@@ -228,10 +271,10 @@ def enumerate_feasible(
     stats: dict | None = None,
     table: _SubproblemTable | None = None,
 ) -> list[AssociationSolution]:
-    """Exhaustively test every association hypothesis and keep the feasible ones.
+    """Every association hypothesis whose target slots all meet the tolerance.
 
-    Anchor 1's assignment is fixed to the identity; all (K!)^(M-1)
-    permutation tuples for anchors 2..M are examined. A hypothesis is kept
+    Anchor 1's assignment is fixed to the identity; the search decides all
+    (K!)^(M-1) permutation tuples for anchors 2..M. A hypothesis is kept
     iff every target slot trilaterates with residual_rms <= feas_tol_m.
     Results are sorted by max residual ascending (ties in lexicographic
     hypothesis order). Raises ValueError above MAX_HYPOTHESES hypotheses.
@@ -243,29 +286,23 @@ def enumerate_feasible(
     """
     if table is None:
         table = subproblem_table(profiles, anchors)
-    n_targets, n_anchors = table.k, table.m
+    total = _hypothesis_count(table.k, table.m)
 
-    perms, perm_idx = _hypothesis_tables(n_targets, n_anchors)
-    residuals, flat = _slot_residuals(table, perms, perm_idx)
-    max_residual = residuals.max(axis=1)
-    feasible = (residuals <= feas_tol_m).all(axis=1)
+    solutions = [
+        AssociationSolution(
+            hypothesis=AssociationHypothesis(assignment),
+            estimates=tuple(table.estimate(f) for f in flats),
+            max_residual_m=max_residual,
+        )
+        for max_residual, assignment, flats in _search(table, feas_tol_m, best=False)
+    ]
+    solutions.sort(key=lambda s: (s.max_residual_m, s.hypothesis.assignment))
 
     if stats is not None:
-        stats["hypotheses_examined"] = len(perm_idx)
-        stats["best_max_residual_m"] = float(max_residual.min())
-
-    solutions = []
-    for h in np.flatnonzero(feasible):
-        assignment = (tuple(range(n_targets)),) + tuple(
-            perms[perm_idx[h, m]] for m in range(n_anchors - 1)
-        )
-        estimates = tuple(table.estimate(int(flat[h, k])) for k in range(n_targets))
-        solutions.append(AssociationSolution(
-            hypothesis=AssociationHypothesis(assignment),
-            estimates=estimates,
-            max_residual_m=float(max_residual[h]),
-        ))
-    solutions.sort(key=lambda s: (s.max_residual_m, s.hypothesis.assignment))
+        stats["hypotheses_examined"] = total
+        # A hypothesis below the first solution's max residual would be feasible too.
+        stats["best_max_residual_m"] = (solutions[0].max_residual_m if solutions
+                                        else _best_max_residual(table))
     return solutions
 
 
@@ -309,65 +346,23 @@ def solve_association_bnb(
 ) -> AssociationSolution:
     """Branch-and-bound over the subproblem table, equal to solve_association.
 
-    The search fills target slots in order. Slot k's candidates are the
-    table rows whose anchor-1 index is k and whose residual meets the
-    tolerance; a candidate is taken only if none of its distance indices at
-    anchors 2..M is used yet, and a branch is cut once its partial max
+    The enumeration's search, with a branch cut once its partial max
     residual exceeds the best complete one by more than RESIDUAL_TIE_EPS_M.
     Every hypothesis within that band of the optimum survives, so the
     tie-break by lexicographic hypothesis order picks exactly what the
     exhaustive search picks. When nothing is feasible, the
-    InfeasibleAssociationError carries the best max residual from a full
-    scan of the same table, which is subject to MAX_HYPOTHESES. ``table`` is
-    as in ``enumerate_feasible``.
+    InfeasibleAssociationError carries the exact best max residual, from the
+    same search with no tolerance, which is subject to MAX_HYPOTHESES.
+    ``table`` is as in ``enumerate_feasible``.
     """
     if table is None:
         table = subproblem_table(profiles, anchors)
-    k, m = table.k, table.m
-    rest = np.indices((k,) * (m - 1)).reshape(m - 1, -1).T  # indices at anchors 2..M
-    rms = table.rms.reshape(k, len(rest))  # row s: anchor-1 index s
-    candidates = [
-        [(tuple(int(j) for j in rest[i]), float(rms[s, i]), s * len(rest) + int(i))
-         for i in np.flatnonzero(rms[s] <= feas_tol_m)]
-        for s in range(k)
-    ]
-
-    used = [[False] * k for _ in range(m - 1)]
-    chosen: list[tuple[tuple[int, ...], int]] = []
-    incumbent = math.inf
-    complete: list[tuple[tuple[tuple[int, ...], ...], float, tuple[int, ...]]] = []
-
-    def dfs(slot: int, partial_max: float) -> None:
-        nonlocal incumbent
-        if slot == k:
-            assignment = (tuple(range(k)),) + tuple(
-                tuple(combo[a] for combo, _ in chosen) for a in range(m - 1))
-            complete.append((assignment, partial_max, tuple(flat for _, flat in chosen)))
-            incumbent = min(incumbent, partial_max)
-            complete[:] = [c for c in complete if c[1] <= incumbent + RESIDUAL_TIE_EPS_M]
-            return
-        for combo, residual, flat in candidates[slot]:
-            new_max = max(partial_max, residual)
-            if new_max > incumbent + RESIDUAL_TIE_EPS_M:
-                continue
-            if any(used[a][j] for a, j in enumerate(combo)):
-                continue
-            for a, j in enumerate(combo):
-                used[a][j] = True
-            chosen.append((combo, flat))
-            dfs(slot + 1, new_max)
-            chosen.pop()
-            for a, j in enumerate(combo):
-                used[a][j] = False
-
-    dfs(0, 0.0)
-    if not complete:
-        perms, perm_idx = _hypothesis_tables(k, m)
-        residuals, _ = _slot_residuals(table, perms, perm_idx)
-        raise _infeasible(feas_tol_m, float(residuals.max(axis=1).min()))
+    tied = _search(table, feas_tol_m, best=True)
+    if not tied:
+        raise _infeasible(feas_tol_m, _best_max_residual(table))
 
     # Pruning left exactly the solutions within the tie band of the best.
-    assignment, _, flats = min(complete, key=lambda c: c[0])
+    _, assignment, flats = min(tied, key=lambda t: t[1])
     estimates = tuple(table.estimate(f) for f in flats)
     return AssociationSolution(
         hypothesis=AssociationHypothesis(assignment),

@@ -115,15 +115,7 @@ class RunConfig:
         command = data.get("command")
         if command not in COMMANDS:
             raise ValueError(f"unknown subcommand: {command!r}")
-        options = data.get("options", {})
-        allowed = allowed_options()[command]
-        unknown = sorted(set(options) - allowed)
-        if unknown:
-            raise ValueError(f"unknown option keys for {command}: {unknown}")
-        missing = sorted(allowed - set(options))
-        if missing:
-            raise ValueError(f"missing option keys for {command}: {missing}")
-        return cls(command=command, options=options)
+        return cls(command=command, options=_checked_options(command, data.get("options", {})))
 
 
 def save_run_config(cfg: RunConfig, path: str | Path) -> None:
@@ -234,14 +226,70 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def allowed_options() -> dict[str, set[str]]:
-    """Option keys accepted by each subcommand (argparse dests)."""
+def _option_actions() -> dict[str, dict[str, argparse.Action]]:
+    """Each subcommand's argparse actions by option key (dest)."""
     parser = build_parser()
     sub_action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    out = {}
-    for name, sp in sub_action.choices.items():
-        out[name] = {a.dest for a in sp._actions if a.dest != "help"}
-    return out
+    return {name: {a.dest: a for a in sp._actions if a.dest != "help"}
+            for name, sp in sub_action.choices.items()}
+
+
+def allowed_options() -> dict[str, set[str]]:
+    """Option keys accepted by each subcommand (argparse dests)."""
+    return {name: set(actions) for name, actions in _option_actions().items()}
+
+
+def _checked_value(action: argparse.Action, value):
+    """``value`` as its flag would parse it, element-wise for an nargs list."""
+    if action.nargs == 0:  # store_true
+        if not isinstance(value, bool):
+            raise ValueError("expected true or false")
+        return value
+    if isinstance(action.nargs, int):
+        if not isinstance(value, list) or len(value) != action.nargs:
+            raise ValueError(f"expected a list of {action.nargs} values")
+        return [_checked_item(action, v) for v in value]
+    if value is None and action.default is None and not action.required:
+        return value
+    return _checked_item(action, value)
+
+
+def _checked_item(action: argparse.Action, value):
+    """One value through the action's argparse type and choices."""
+    if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+        raise ValueError("expected a number or a string")
+    if action.type is not None:
+        try:
+            value = action.type(str(value))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(str(exc)) from None
+    elif not isinstance(value, str):
+        raise ValueError("expected a string")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"expected one of {', '.join(action.choices)}")
+    return value
+
+
+def _checked_options(command: str, options: dict) -> dict:
+    """A subcommand's option map, each value checked as its command-line flag is.
+
+    Raises ValueError on unknown or missing keys, and on a value that its
+    flag's argparse type or choices reject, naming the key and the value.
+    """
+    actions = _option_actions()[command]
+    unknown = sorted(set(options) - set(actions))
+    if unknown:
+        raise ValueError(f"unknown option keys for {command}: {unknown}")
+    missing = sorted(set(actions) - set(options))
+    if missing:
+        raise ValueError(f"missing option keys for {command}: {missing}")
+    checked = {}
+    for key, value in options.items():
+        try:
+            checked[key] = _checked_value(actions[key], value)
+        except ValueError as exc:
+            raise ValueError(f"{command} option {key}={value!r}: {exc}") from None
+    return checked
 
 
 # --- report emission ---------------------------------------------------------
@@ -559,18 +607,30 @@ _HANDLERS = {
 }
 
 
-def dispatch_config(cfg: RunConfig) -> int:
-    """Execute a resolved RunConfig; returns a process exit code."""
-    handler = _HANDLERS.get(cfg.command)
-    if handler is None:
-        print(f"error: unknown subcommand {cfg.command!r}", file=sys.stderr)
-        return 2
+def _run(command: str, options: dict) -> int:
     try:
-        handler(cfg.options)
+        _HANDLERS[command](options)
         return 0
     except (NetsenseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def dispatch_config(cfg: RunConfig) -> int:
+    """Execute a resolved RunConfig; returns a process exit code.
+
+    Its options are checked as the command-line flags would check them; a
+    bad key or value is a domain error (exit 1) naming it.
+    """
+    if cfg.command not in _HANDLERS:
+        print(f"error: unknown subcommand {cfg.command!r}", file=sys.stderr)
+        return 2
+    try:
+        options = _checked_options(cfg.command, cfg.options)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return _run(cfg.command, options)
 
 
 def parse_and_dispatch(argv: Sequence[str] | None = None) -> int:
@@ -585,8 +645,8 @@ def parse_and_dispatch(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    options = {k: v for k, v in vars(namespace).items() if k != "command"}
-    return dispatch_config(RunConfig(command=namespace.command, options=options))
+    # argparse has checked every value already.
+    return _run(namespace.command, {k: v for k, v in vars(namespace).items() if k != "command"})
 
 
 def main() -> None:

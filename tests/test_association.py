@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +284,143 @@ class TestBranchAndBoundProperty:
             return
         assert solve_association_bnb(profiles, anchors, tol) == expected
         assert solve_association_bnb(profiles, anchors, tol, table=table) == expected
+
+
+def brute_force_hypotheses(table):
+    """(max slot residual, assignment, flat rows) of every hypothesis, in product order.
+
+    Independent of the library's search: all permutation tuples for
+    anchors 2..M, each slot's residual read from the table directly.
+    """
+    k, m = table.k, table.m
+    out = []
+    for perms in itertools.product(itertools.permutations(range(k)), repeat=m - 1):
+        assignment = (tuple(range(k)),) + perms
+        flats = tuple(sum(assignment[a][s] * k ** (m - 1 - a) for a in range(m))
+                      for s in range(k))
+        out.append((max(float(table.rms[f]) for f in flats), assignment, flats))
+    return out
+
+
+def check_against_brute_force(profiles, anchors, tol, table):
+    """Every search result for ``tol`` equals what the brute force implies."""
+    oracle = brute_force_hypotheses(table)
+    best = min(h[0] for h in oracle)
+    feasible = sorted((h for h in oracle if h[0] <= tol), key=lambda h: h[:2])
+    stats = {}
+    solutions = enumerate_feasible(profiles, anchors, tol, stats=stats, table=table)
+    assert [(s.max_residual_m, s.hypothesis.assignment) for s in solutions] == [
+        h[:2] for h in feasible]
+    for s, (_, _, flats) in zip(solutions, feasible):
+        assert s.estimates == tuple(table.estimate(f) for f in flats)
+    assert stats == {"hypotheses_examined": len(oracle), "best_max_residual_m": best}
+
+    if not feasible:
+        for solve in (solve_association, solve_association_bnb):
+            with pytest.raises(InfeasibleAssociationError) as err:
+                solve(profiles, anchors, tol)
+            assert err.value.best_residual_m == best
+            assert str(err.value) == (f"no hypothesis met tol {tol}; "
+                                      f"best max residual was {best:.6g} m")
+        return
+    tied = [h for h in feasible if h[0] <= best + association.RESIDUAL_TIE_EPS_M]
+    max_residual, assignment, flats = min(tied, key=lambda h: h[1])
+    expected = association.AssociationSolution(
+        hypothesis=association.AssociationHypothesis(assignment),
+        estimates=tuple(table.estimate(f) for f in flats),
+        max_residual_m=max_residual,
+    )
+    assert solve_association(profiles, anchors, tol) == expected
+    assert solve_association_bnb(profiles, anchors, tol) == expected
+    assert solve_association_bnb(profiles, anchors, tol, table=table) == expected
+
+
+class TestSearchAgainstBruteForce:
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), m=st.integers(3, 4),
+           sigma=st.sampled_from([0.01, 0.1, 1.0]), level=st.integers(-1, 10**6),
+           nudge=st.sampled_from([-1, 0, 1]))
+    def test_noisy_ranges(self, seed, k, m, sigma, level, nudge):
+        # The tolerance is half the best max residual (level -1), or one of
+        # the hypotheses' max residuals, exactly or one ulp off; the largest
+        # of them makes every hypothesis feasible.
+        profiles, anchors = noisy_problem(seed, k, m, sigma)
+        table = subproblem_table(profiles, anchors)
+        levels = sorted({h[0] for h in brute_force_hypotheses(table)})
+        tol = levels[0] / 2 if level < 0 else levels[level % len(levels)]
+        tol = float(np.nextafter(tol, tol + nudge)) if nudge else tol
+        check_against_brute_force(profiles, anchors, tol, table)
+
+    @pytest.mark.parametrize("tol", [1e-16, 1e-6, 2.0])
+    def test_near_tie_goes_to_first_hypothesis(self, tol):
+        # With bs3's distances swapped, Example 1's identity hypothesis has
+        # max residual ~1e-15 m and the ghost hypothesis exactly 0: a tie
+        # within RESIDUAL_TIE_EPS_M that the identity must win.
+        profiles = example1_profiles()
+        profiles[2] = DistanceProfile("bs3", profiles[2].distances[::-1])
+        table = subproblem_table(profiles, EXAMPLE_BS_XY)
+        check_against_brute_force(profiles, EXAMPLE_BS_XY, tol, table)
+        if tol > 1e-15:
+            assert solve_association_bnb(profiles, EXAMPLE_BS_XY, tol).hypothesis.assignment == (
+                (0, 1), (0, 1), (0, 1))
+
+
+class TestFeasibleCountInvariance:
+    """On exact ranges the feasible count is a property of the geometry alone."""
+
+    @staticmethod
+    def count(anchors_xy, targets_xy):
+        return len(enumerate_feasible(profiles_for(anchors_xy, targets_xy), anchors_xy, 1e-6))
+
+    @staticmethod
+    def scene_xy(seed, k, m):
+        scene = random_scene(m, k, Bounds(-150, -150, 150, 150), seed=seed)
+        return scene.bs_positions(), scene.target_positions()
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), m=st.integers(3, 4))
+    def test_profile_order(self, seed, k, m):
+        anchors, targets = self.scene_xy(seed, k, m)
+        profiles = profiles_for(anchors, targets)
+        rng = np.random.default_rng(seed)
+        shuffled = [DistanceProfile(p.anchor_id, tuple(np.array(p.distances)[rng.permutation(k)]))
+                    for p in profiles]
+        assert len(enumerate_feasible(shuffled, anchors, 1e-6)) == self.count(anchors, targets)
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), m=st.integers(3, 4),
+           quarter_turns=st.integers(1, 3))
+    def test_rotation_by_quarter_turns(self, seed, k, m, quarter_turns):
+        anchors, targets = self.scene_xy(seed, k, m)
+        rotated = [anchors, targets]
+        for _ in range(quarter_turns):  # (x, y) -> (-y, x), exact in floating point
+            rotated = [np.stack([-xy[:, 1], xy[:, 0]], axis=1) for xy in rotated]
+        assert self.count(*rotated) == self.count(anchors, targets)
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), m=st.integers(3, 4),
+           shift=st.tuples(st.floats(-500, 500), st.floats(-500, 500)))
+    def test_translation(self, seed, k, m, shift):
+        anchors, targets = self.scene_xy(seed, k, m)
+        offset = np.array(shift)
+        assert self.count(anchors + offset, targets + offset) == self.count(anchors, targets)
+
+
+class TestSearchMemory:
+    def test_enumeration_peak_heap_is_small(self):
+        # All (K!)^(M-1) = 331,776 hypotheses as an index table would take
+        # tens of MB; the search holds only its candidates and its path.
+        scene = random_scene(5, 4, Bounds(-150, -150, 150, 150), seed=3)
+        profiles, anchors = exact_profiles(scene), scene.bs_positions()
+        table = subproblem_table(profiles, anchors)
+        tracemalloc.start()
+        try:
+            solutions = enumerate_feasible(profiles, anchors, 1e-6, table=table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(solutions) >= 1
+        assert peak < 1 << 20
 
 
 class TestSubproblemBatch:

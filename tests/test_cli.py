@@ -490,6 +490,48 @@ class TestDeterminismAndConfig:
         with pytest.raises(ValueError):
             RunConfig.from_json(json.dumps({"command": "warp", "options": {}}))
 
+    @staticmethod
+    def parsed_options(args):
+        ns = build_parser().parse_args(args)
+        return {k: v for k, v in vars(ns).items() if k != "command"}
+
+    @pytest.mark.parametrize("args, key, value, message", [
+        (["associate", "--scene", "s.json"], "tol", math.nan, "tol=nan: must be finite"),
+        (["associate", "--scene", "s.json"], "solver", "greedy", "solver='greedy': expected one"),
+        (["montecarlo"], "bounds", [0.0, 0.0, math.inf, 5.0], "bounds=[0.0, 0.0, inf, 5.0]"),
+        (["montecarlo"], "bounds", [0.0, 0.0, 5.0], "expected a list of 4 values"),
+        (["montecarlo"], "workers", 0, "workers=0: must be at least 1"),
+        (["montecarlo"], "trials", 2.5, "trials=2.5"),
+        (["montecarlo"], "sigma_list", "0.1,-0.5", "sigma_list='0.1,-0.5': must be nonnegative"),
+        (["montecarlo"], "quantize", "yes", "quantize='yes': expected true or false"),
+    ])
+    def test_run_config_checks_values_like_the_flags(self, capsys, args, key, value, message):
+        options = {**self.parsed_options(args), key: value}
+        # json.dumps writes NaN and Infinity, which json.loads reads back.
+        with pytest.raises(ValueError, match=f"{args[0]} option {key}=") as err:
+            RunConfig.from_json(json.dumps({"command": args[0], "options": options}))
+        assert message in str(err.value)
+        assert dispatch_config(RunConfig(args[0], options)) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_run_config_nan_tol_is_refused(self, capsys, scenes_dir):
+        options = self.parsed_options(["associate", "--scene", str(scenes_dir / "example1.json")])
+        assert dispatch_config(RunConfig("associate", options)) == 0
+        assert json.loads(capsys.readouterr().out)["num_feasible"] == 2
+        code = dispatch_config(RunConfig("associate", {**options, "tol": math.nan}))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "associate option tol=nan" in captured.err
+
+    def test_run_config_missing_key_is_domain_error(self, capsys):
+        options = self.parsed_options(["ghosts"])
+        del options["trials"]
+        assert dispatch_config(RunConfig("ghosts", options)) == 1
+        assert "missing option keys for ghosts: ['trials']" in capsys.readouterr().err
+
     def test_allowed_options_cover_all_commands(self):
         allowed = allowed_options()
         assert set(allowed) == {

@@ -38,6 +38,12 @@ COVERAGE_FRACTIONS = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0)
 MAX_AMBIGUITY_CELLS = 1 << 22
 AMBIGUITY_BYTES_PER_CELL = 200
 
+# Most trial records (montecarlo --trials x sigma levels, ghosts --trials) a
+# run may ask for. Peak RSS grows by about 2.2 KB per uniqueness trial (40.4
+# MiB at 1,000 trials, 59.7 at 10,000); 2^18 records bound a run near 580 MB.
+MAX_TRIAL_RECORDS = 1 << 18
+TRIAL_RECORD_BYTES = 2200
+
 
 class UsageError(ValueError):
     """A bad invocation outside argparse's reach, reported with exit code 2."""
@@ -80,14 +86,20 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
 def _sigma_list(text: str) -> str:
     """Check a comma-separated list of finite, nonnegative sigmas.
 
     Returns the text unchanged, so a saved RunConfig keeps the user's form.
     """
     for item in _split_sigmas(text):
-        if _finite_float(item) < 0:
-            raise argparse.ArgumentTypeError(f"must be nonnegative, got {item!r}")
+        _nonnegative_float(item)
     return text
 
 
@@ -183,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV with header anchor_id,distance_m; default: exact distances")
     p.add_argument("--tol", type=_positive_float, default=1e-6, help="feasibility tolerance [m]")
     p.add_argument("--solver", choices=("exhaustive", "bnb"), default="exhaustive")
-    p.add_argument("--match-radius", type=_finite_float, default=1e-3,
+    p.add_argument("--match-radius", type=_nonnegative_float, default=1e-3,
                    help="ghost/ground-truth match radius [m]")
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
@@ -368,13 +380,17 @@ def _build_waveform(opts: dict) -> waveforms.ComplexSequence:
     return waveforms.ofdm_symbol(opts["length"], opts["cp"], opts["seed"])
 
 
+def _refuse_above(request: str, count: int, unit: str, cap: int, unit_bytes: int) -> None:
+    """Raise a ValueError naming the flags in ``request`` when ``count`` exceeds ``cap``."""
+    if count > cap:
+        raise ValueError(f"{request} asks for {count:,} {unit}, about {count * unit_bytes:,} "
+                         f"bytes; the cap is {cap:,} {unit}")
+
+
 def _cmd_ambiguity(opts: dict) -> None:
-    cells = opts["length"] * opts["doppler_bins"]
-    if cells > MAX_AMBIGUITY_CELLS:
-        raise ValueError(
-            f"--length {opts['length']} x --doppler-bins {opts['doppler_bins']} asks for "
-            f"{cells:,} ambiguity cells, about {cells * AMBIGUITY_BYTES_PER_CELL:,} bytes; "
-            f"the cap is {MAX_AMBIGUITY_CELLS:,} cells")
+    _refuse_above(f"--length {opts['length']} x --doppler-bins {opts['doppler_bins']}",
+                  opts["length"] * opts["doppler_bins"], "ambiguity cells",
+                  MAX_AMBIGUITY_CELLS, AMBIGUITY_BYTES_PER_CELL)
     seq = _build_waveform(opts)
     surface = waveforms.ambiguity(seq, doppler_bins=opts["doppler_bins"], mode=opts["mode"])
     metrics = waveforms.sidelobe_metrics(surface, mainlobe_exclusion=opts["mainlobe_exclusion"])
@@ -488,6 +504,8 @@ def _cmd_associate(opts: dict) -> None:
 
 
 def _cmd_ghosts(opts: dict) -> None:
+    _refuse_above(f"--trials {opts['trials']}", opts["trials"], "trial records",
+                  MAX_TRIAL_RECORDS, TRIAL_RECORD_BYTES)
     fixed_scene = scene.load_scene(opts["scene"]) if opts.get("scene") else None
     bounds = scene.Bounds(*opts["bounds"])
     result = association.ghost_probability(
@@ -553,6 +571,13 @@ def _cmd_irs(opts: dict) -> None:
 
 
 def _cmd_montecarlo(opts: dict) -> None:
+    sigmas = [float(s) for s in _split_sigmas(opts["sigma_list"])]
+    accuracy = opts["mode"] == "accuracy"
+    levels = len(sigmas) if accuracy else 1
+    request = f"--trials {opts['trials']}" + (
+        f" x {levels} --sigma-list levels" if accuracy else "")
+    _refuse_above(request, opts["trials"] * levels, "trial records",
+                  MAX_TRIAL_RECORDS, TRIAL_RECORD_BYTES)
     fixed_scene = scene.load_scene(opts["scene"]) if opts.get("scene") else None
     plan = None
     if fixed_scene is None:
@@ -572,7 +597,7 @@ def _cmd_montecarlo(opts: dict) -> None:
         seed=opts["seed"],
         feas_tol_m=opts["tol"],
     )
-    if opts["mode"] == "uniqueness":
+    if not accuracy:
         report = harness.run_uniqueness_experiment(spec, workers=opts["workers"])
         fieldnames = ["trial", "seed", "detected_pairs", "total_pairs", "partial",
                       "feasible_count", "ghost", "correct_found", "rmse_m"]
@@ -580,7 +605,6 @@ def _cmd_montecarlo(opts: dict) -> None:
         print(f"completed,{report.aggregates['completed']}")
         print(f"partial,{report.aggregates['partial']}")
     else:
-        sigmas = [float(s) for s in _split_sigmas(opts["sigma_list"])]
         report = harness.run_accuracy_experiment(spec, sigmas, workers=opts["workers"])
         fieldnames = ["sigma_m", "trial", "seed", "partial", "infeasible", "correct", "rmse_m"]
         for level in report.aggregates["levels"]:

@@ -384,11 +384,9 @@ def run_accuracy_experiment(
     """Noisy-range association accuracy across a sigma sweep."""
     if not sigma_list_m:
         raise ValueError("sigma_list_m must not be empty")
-    if any(s < 0 for s in sigma_list_m):
-        raise ValueError("sigma values must be nonnegative")
-    seeds = _trial_seeds(spec.seed, spec.trials)
     noises = [NoiseModel(float(sigma), spec.noise.quantize_to_resolution,
                          spec.noise.bandwidth_hz) for sigma in sigma_list_m]
+    seeds = _trial_seeds(spec.seed, spec.trials)
     jobs = [(noise, t, s) for noise in noises for t, s in enumerate(seeds)]
     records = sorted(
         _run_trials(_accuracy_record, spec, jobs, workers),

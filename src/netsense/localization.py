@@ -1,12 +1,14 @@
 """Position estimation primitives: circle intersection, trilateration, triangulation.
 
-Trilateration minimizes sum_i (|x - a_i| - d_i)^2 with Gauss-Newton, seeded
-from the intersection points of the two nearest-anchor range circles. The
-batch variant solves many independent range problems, each row against its
-own anchor set: the data-association search solves every distance-index
-combination of a problem at once, and the experiment harness stacks those
-rows for a whole chunk of trials into one call. Rows never interact, so a
-row's result is bitwise the same in any batch.
+Trilateration minimizes sum_i (|x - a_i| - d_i)^2: one Gauss-Newton pass,
+halving any step that does not lower the residual, refines the linearized
+least-squares solution of the squared-range equations. The batch variant
+solves many independent range problems, each row against its own anchor
+set and in its own centred, scaled frame: the data-association search
+solves every distance-index combination of a problem at once, and the
+experiment harness stacks those rows for a whole chunk of trials into one
+call. Rows never interact, so a row's result is bitwise the same in any
+batch.
 """
 
 from __future__ import annotations
@@ -86,103 +88,99 @@ def range_jacobian(p: np.ndarray, anchors_xy: np.ndarray) -> np.ndarray:
     return diff / norms[:, None]
 
 
-def _seed_pair(anchors_xy: np.ndarray, distances: np.ndarray) -> np.ndarray:
-    """Two Gauss-Newton seeds per problem row, shape (B, 2, 2).
+def _frame(anchors_xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's anchor mean and scale, and its anchors in that frame, (B, M, 2).
 
-    ``anchors_xy`` holds each row's own anchor set, shape (B, M, 2). Seeds are
-    the intersections of the range circles around the row's two anchors with
-    the smallest measured distances. When those circles are disjoint, nested,
-    or their centers coincide, both seeds fall back to the row's anchor
-    centroid.
+    The scale is the power of two just above the row's largest anchor offset
+    from the mean, so scaling is exact and squares of frame coordinates stay
+    far from overflow and underflow at any anchor spread and offset.
     """
-    d = distances
-    order = np.argsort(d, axis=1, kind="stable")[:, :2]
-    rows = np.arange(len(d))
-    c1 = anchors_xy[rows, order[:, 0]]
-    c2 = anchors_xy[rows, order[:, 1]]
-    r1 = d[rows, order[:, 0]]
-    r2 = d[rows, order[:, 1]]
+    centre = anchors_xy.mean(axis=1)
+    local = anchors_xy - centre[:, None, :]
+    _, exponent = np.frexp(np.abs(local).max(axis=(1, 2)))
+    scale = np.ldexp(1.0, exponent)
+    local /= scale[:, None, None]
+    return centre, scale, local
 
-    delta = c2 - c1
-    sep = np.linalg.norm(delta, axis=1)
-    safe_sep = np.maximum(sep, 1e-300)
-    a = (sep ** 2 + r1 ** 2 - r2 ** 2) / (2.0 * safe_sep)
-    h_sq = r1 ** 2 - a ** 2
-    # Tolerate slightly negative h^2 (numerically tangent circles).
-    tangent_slack = 1e-9 * np.maximum(r1, r2) ** 2
-    valid = (sep > 1e-12) & (sep <= r1 + r2) & (sep >= np.abs(r1 - r2)) & (h_sq >= -tangent_slack)
-    h = np.sqrt(np.maximum(h_sq, 0.0))
 
-    ex = delta / safe_sep[:, None]
-    ey = np.stack([ex[:, 1], -ex[:, 0]], axis=1)
-    base = c1 + a[:, None] * ex
-    plus = base + h[:, None] * ey
-    minus = base - h[:, None] * ey
+def _normal_solve(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Each row's least-squares x of jac @ x = rhs, from the 2x2 normal equations.
 
-    centroid = anchors_xy.mean(axis=1)
-    seeds = np.empty((len(d), 2, 2))
-    seeds[:, 0] = np.where(valid[:, None], plus, centroid)
-    seeds[:, 1] = np.where(valid[:, None], minus, centroid)
-    return seeds
+    ``jac`` is (B, M, 2) and ``rhs`` (B, M); a singular row gives a non-finite x.
+    """
+    jx, jy = jac[:, :, 0], jac[:, :, 1]
+    gxx, gxy, gyy = np.sum(jx * jx, axis=1), np.sum(jx * jy, axis=1), np.sum(jy * jy, axis=1)
+    hx, hy = np.sum(jx * rhs, axis=1), np.sum(jy * rhs, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = gxx * gyy - gxy * gxy
+        return np.stack([gyy * hx - gxy * hy, gxx * hy - gxy * hx], axis=1) / det[:, None]
+
+
+def _linear_start(local: np.ndarray, ranges: np.ndarray) -> np.ndarray:
+    """Linearized least-squares position of each row, in the row's frame.
+
+    Subtracting the mean of the squared-range equations |x - a_i|^2 = d_i^2
+    leaves M equations linear in x, a_i . x = b_i, since the frame puts the
+    anchor mean at the origin (Caffery, "A new approach to the geometry of
+    TOA location", IEEE VTC 2000). A singular or non-finite row starts at
+    the origin, its anchor centroid.
+    """
+    sq = 0.5 * (np.sum(local ** 2, axis=2) - ranges ** 2)
+    start = _normal_solve(local, sq - sq.mean(axis=1)[:, None])
+    return np.where(np.isfinite(start).all(axis=1)[:, None], start, 0.0)
 
 
 def _gauss_newton(
-    seeds: np.ndarray,
-    anchors_xy: np.ndarray,
-    distances: np.ndarray,
-    tol_m: float,
+    start: np.ndarray,
+    local: np.ndarray,
+    ranges: np.ndarray,
+    step_tol: np.ndarray,
+    improve_tol: np.ndarray,
     max_iterations: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized Gauss-Newton over B independent range problems.
+    """Vectorized Gauss-Newton with step halving over B range problems.
 
-    ``anchors_xy`` is (B, M, 2). Each iteration works only on the rows that
-    have not converged yet; a row's arithmetic never depends on the others,
-    so its result is the same in any batch.
+    Each iteration evaluates one trial point per live row. A trial that
+    lowers the row's rms is kept and the next step is taken from it;
+    otherwise the row halves its last step from its best point. A row stops
+    when its step falls below ``step_tol`` or a kept trial gains less than
+    ``improve_tol`` (both per row). A row's arithmetic never depends on the
+    others, so its result is the same in any batch.
     """
-    p = seeds.copy()
-    n_rows = len(p)
+    n_rows = len(start)
+    best, trial = start, start.copy()
+    best_rms = np.full(n_rows, np.inf)
+    step = np.zeros((n_rows, 2))
     converged = np.zeros(n_rows, bool)
     iterations = np.zeros(n_rows, int)
-    prev_rms = np.full(n_rows, np.inf)
     live = np.arange(n_rows)
 
     for it in range(1, max_iterations + 1):
         if not len(live):
             break
-        diff = p[live, None, :] - anchors_xy[live]
+        diff = trial[live, None, :] - local[live]
         norms = np.linalg.norm(diff, axis=2)
-        residuals = norms - distances[live]
+        residuals = norms - ranges[live]
         rms = np.sqrt(np.mean(residuals ** 2, axis=1))
-        # A row stops when its residual no longer improves ...
-        stop = prev_rms[live] - rms < IMPROVE_TOL_M
+        gain = best_rms[live] - rms
+        kept = gain > 0
 
-        unit = diff / np.maximum(norms, 1e-12)[:, :, None]
-        a11 = np.sum(unit[:, :, 0] ** 2, axis=1)
-        a12 = np.sum(unit[:, :, 0] * unit[:, :, 1], axis=1)
-        a22 = np.sum(unit[:, :, 1] ** 2, axis=1)
-        b1 = np.sum(unit[:, :, 0] * residuals, axis=1)
-        b2 = np.sum(unit[:, :, 1] * residuals, axis=1)
-        det = a11 * a22 - a12 * a12
-        safe_det = np.where(np.abs(det) < 1e-300, 1.0, det)
-        dx = -(a22 * b1 - a12 * b2) / safe_det
-        dy = -(a11 * b2 - a12 * b1) / safe_det
-        degenerate = np.abs(det) < 1e-300
-        dx = np.where(degenerate, 0.0, dx)
-        dy = np.where(degenerate, 0.0, dy)
+        gn_step = -_normal_solve(diff / np.maximum(norms, 1e-12)[:, :, None], residuals)
+        gn_step[~np.isfinite(gn_step).all(axis=1)] = 0.0
 
-        # ... or when its step falls below tolerance; the other rows move.
-        stop |= np.hypot(dx, dy) < tol_m
+        rows = live[kept]
+        best[rows] = trial[rows]
+        best_rms[rows] = rms[kept]
+        step[rows] = gn_step[kept]
+        step[live[~kept]] *= 0.5
+        stop = (kept & (gain < improve_tol[live])) | (
+            np.hypot(step[live, 0], step[live, 1]) < step_tol[live])
         converged[live[stop]] = True
         iterations[live] = it
-        move = ~stop
-        live = live[move]
-        p[live, 0] += dx[move]
-        p[live, 1] += dy[move]
-        prev_rms[live] = rms[move]
+        live = live[~stop]
+        trial[live] = best[live] + step[live]
 
-    final = np.linalg.norm(p[:, None, :] - anchors_xy, axis=2) - distances
-    rms = np.sqrt(np.mean(final ** 2, axis=1))
-    return p, rms, converged, iterations
+    return best, best_rms, converged, iterations
 
 
 def solve_ranges_batch(
@@ -201,10 +199,12 @@ def solve_ranges_batch(
 
     Returns:
         (positions (B, 2), residual_rms (B,), converged (B,), iterations (B,)).
-        Both circle-intersection seeds are tried for every row and the lower
-        residual result is kept. Each row's result is bitwise the same
-        whichever batch it is solved in, so stacking the rows of many
-        problems into one call changes nothing but the speed.
+        Each row starts from its linearized least-squares position and ends
+        at the lowest residual its Gauss-Newton pass reached; ``converged``
+        is false only for a row stopped by ``max_iterations``. Each row's
+        result is bitwise the same whichever batch it is solved in, so
+        stacking the rows of many problems into one call changes nothing
+        but the speed.
     """
     anchors_xy = np.asarray(anchors_xy, float)
     distances = np.atleast_2d(np.asarray(distances, float))
@@ -232,16 +232,12 @@ def solve_ranges_batch(
     else:
         anchors_xy = np.broadcast_to(anchors_xy, (len(distances),) + anchors_xy.shape)
 
-    seeds = _seed_pair(anchors_xy, distances)
-    p0, rms0, conv0, it0 = _gauss_newton(seeds[:, 0], anchors_xy, distances, tol_m, max_iterations)
-    p1, rms1, conv1, it1 = _gauss_newton(seeds[:, 1], anchors_xy, distances, tol_m, max_iterations)
-
-    pick1 = rms1 < rms0
-    positions = np.where(pick1[:, None], p1, p0)
-    rms = np.where(pick1, rms1, rms0)
-    converged = np.where(pick1, conv1, conv0)
-    iterations = np.where(pick1, it1, it0)
-    return positions, rms, converged, iterations
+    centre, scale, local = _frame(anchors_xy)
+    ranges = distances / scale[:, None]
+    p, rms, converged, iterations = _gauss_newton(
+        _linear_start(local, ranges), local, ranges,
+        tol_m / scale, IMPROVE_TOL_M / scale, max_iterations)
+    return centre + scale[:, None] * p, rms * scale, converged, iterations
 
 
 def solve_ranges(
@@ -278,8 +274,6 @@ def trilaterate(
         raise ValueError("duplicate anchor_id in measurements")
     if set(ids) != set(anchors):
         raise ValueError("measurements must cover every anchor exactly once")
-    if len(ids) < 3:
-        raise ValueError("need at least 3 anchors")
     anchors_xy = np.array([[anchors[i].x, anchors[i].y] for i in ids])
     distances = np.array([m.distance_m for m in measurements])
     return solve_ranges(anchors_xy, distances, tol_m, max_iterations)

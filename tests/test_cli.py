@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from netsense import association, cli, waveforms
+from netsense import association, cli, harness, waveforms
 from netsense.cli import (
     RunConfig,
     allowed_options,
@@ -90,6 +90,7 @@ class TestUsage:
         (["montecarlo", "--rcs-dbsm=-inf"], "--rcs-dbsm"),
         (["coverage", "--pt-watts", "nan"], "--pt-watts"),
         (["coverage", "--snr-min-db", "inf"], "--snr-min-db"),
+        (["associate", "--scene", "SCENE", "--match-radius", "-1"], "--match-radius"),
     ])
     def test_bad_float_flag_is_usage_error(self, capsys, tmp_path, scenes_dir, argv, flag):
         argv = [str(scenes_dir / "example1.json") if a == "SCENE" else a for a in argv]
@@ -419,6 +420,45 @@ class TestGhostsAndMonteCarlo:
         assert [lv["sigma_m"] for lv in report["aggregates"]["levels"]] == [0.0, 0.1]
 
 
+class TestTrialRecordCap:
+    """montecarlo and ghosts refuse oversized runs before any trial is drawn."""
+
+    RUNS = {
+        "uniqueness": (["montecarlo", "--trials", "9"], 9, "--trials 9 asks for 9 trial records"),
+        "accuracy": (["montecarlo", "--mode", "accuracy", "--trials", "3",
+                      "--sigma-list", "0.0,0.1,0.5"], 9,
+                     "--trials 3 x 3 --sigma-list levels asks for 9 trial records"),
+        "ghosts": (["ghosts", "--trials", "9"], 9, "--trials 9 asks for 9 trial records"),
+    }
+
+    def test_sizes_in_use_are_admitted(self):
+        assert cli.MAX_TRIAL_RECORDS >= 10_000  # criterion 5 runs 1,000 ghost trials
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_refused_before_any_allocation(self, capsys, tmp_path, monkeypatch, name):
+        argv, records, message = self.RUNS[name]
+        monkeypatch.setattr(cli, "MAX_TRIAL_RECORDS", records - 1)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("trial seeds drawn before the size check")
+
+        monkeypatch.setattr(harness, "_trial_seeds", unreachable)
+        out = tmp_path / "out"
+        code, printed, err = run_cli(capsys, argv + ["--out", str(out)])
+        assert code == 1
+        assert message in err
+        assert f"about {records * cli.TRIAL_RECORD_BYTES:,} bytes" in err
+        assert printed == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_cap_is_inclusive(self, capsys, tmp_path, monkeypatch, name):
+        argv, records, _ = self.RUNS[name]
+        monkeypatch.setattr(cli, "MAX_TRIAL_RECORDS", records)
+        code, _, _ = run_cli(capsys, argv + ["--out", str(tmp_path / "out")])
+        assert code == 0
+
+
 class TestDeterminismAndConfig:
     def test_montecarlo_byte_identical_across_runs_and_workers(self, capsys, tmp_path):
         def run(tag, workers):
@@ -504,6 +544,8 @@ class TestDeterminismAndConfig:
         (["montecarlo"], "trials", 2.5, "trials=2.5"),
         (["montecarlo"], "sigma_list", "0.1,-0.5", "sigma_list='0.1,-0.5': must be nonnegative"),
         (["montecarlo"], "quantize", "yes", "quantize='yes': expected true or false"),
+        (["associate", "--scene", "s.json"], "match_radius", -1.0,
+         "match_radius=-1.0: must be nonnegative"),
     ])
     def test_run_config_checks_values_like_the_flags(self, capsys, args, key, value, message):
         options = {**self.parsed_options(args), key: value}
@@ -557,17 +599,19 @@ class TestDeterminismAndConfig:
 class TestGoldenReports:
     """Report bytes pinned for fixed seeds; any change to them must be deliberate."""
 
+    # montecarlo reports carry the range solver's last digits (rmse_m near
+    # 1e-13 m at sigma 0), so a change to the solver kernel re-records these.
     RUNS = {
         "uniqueness": (
             ["montecarlo", "--mode", "uniqueness", "--trials", "300", "--seed", "2024"],
-            "ffee62161497c2a65bd229336669fdfa0b13177050e998915205ba7e91103175",
-            "52777d72ad8ba07aa5416ffb34c68c986573a89d11be3b00af8648970cdd3441",
+            "22fb1954de77253789d76cce8e10d1c14df4bde67506094a37a4c293da0e5323",
+            "2de5942af1a481ba46f97b4c7e85653eb3e4a2b26d5b1a77b203b70771bcaeb6",
         ),
         "accuracy": (
             ["montecarlo", "--mode", "accuracy", "--num-bs", "4", "--num-targets", "3",
              "--sigma-list", "0.0,0.1,0.5,1.0", "--trials", "20", "--seed", "2025"],
-            "285352bba393e694df0350ffae550eb38bfa5ff4c23f2933f5c4b6caa22b10fc",
-            "e69d8ada998f3ad1ef74940e63fbf94557ebf37ae28f8f7d8a3c1c9c8543ccda",
+            "a46ba3e48c83672968dc89aa8dd15325622a9d73baac2ba3f82dca24f268651b",
+            "d74b7c2b618f198bb49d9c7886c7382c078fa5978392fbf2f5426c0567f7171d",
         ),
         # Every link flag away from its default pins the serialized spec.link.
         "link": (
@@ -576,8 +620,8 @@ class TestGoldenReports:
              "--carrier-hz", "3e9", "--rcs-dbsm", "0", "--temperature-k", "300",
              "--bandwidth-hz", "200e6", "--noise-factor-db", "7", "--snr-min-db", "8",
              "--bounds", "-300", "-300", "300", "300"],
-            "243ad18dd9f47abc648b11629262bf72dc1f6cb890706399a38e1c1c23a5cbaa",
-            "2d44fe42bbb7c1ace3623029b4454b08af291a6c67d05523f44e82834e4b9398",
+            "2e8279675e6c819a995ecde8853d46d54c5069b18ad1ce07a5641c5c4ee3ad3c",
+            "04a7c26c5fab56a9572db9512d784567ee61ff1773d37fbd9417b756034523cd",
         ),
     }
 

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from netsense import localization
 from netsense.errors import BehindRayError, GeometryError, NoIntersectionError
 from netsense.localization import (
     PositionEstimate,
@@ -15,7 +18,7 @@ from netsense.localization import (
     triangulate,
     trilaterate,
 )
-from netsense.scene import Point2
+from netsense.scene import Point2, points_are_collinear
 
 EXAMPLE_BS = {
     "bs1": Point2(-3.5, 0.0),
@@ -114,7 +117,7 @@ class TestTrilaterate:
             trilaterate(anchors, measurements)
 
     def test_inconsistent_ranges_fall_back_never_error(self):
-        # All-tiny distances leave every circle pair disjoint: centroid seed.
+        # All-tiny distances fit no point: Gauss-Newton stops at its best.
         measurements = [RangeMeasurement(i, 0.001) for i in EXAMPLE_BS]
         est = trilaterate(EXAMPLE_BS, measurements)
         assert isinstance(est, PositionEstimate)
@@ -152,6 +155,45 @@ class TestTrilaterate:
             assert single.position.x == positions[i, 0]
             assert single.position.y == positions[i, 1]
             assert single.residual_rms_m == rms[i]
+
+
+class TestKernel:
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 6))
+    def test_exact_ranges_recovered(self, seed, m):
+        rng = np.random.default_rng(seed)
+        anchors_xy = rng.uniform(-100, 100, (m, 2))
+        assume(not points_are_collinear(anchors_xy))
+        target = rng.uniform(-300, 300, 2)
+        distances = np.hypot(*(target - anchors_xy).T)
+        positions, rms, converged, _ = solve_ranges_batch(anchors_xy, distances)
+        assert np.hypot(*(positions[0] - target)) <= 1e-6
+        assert rms[0] <= 1e-6
+        assert converged[0]
+
+    def test_rows_end_no_worse_than_their_start(self):
+        rng = np.random.default_rng(12)
+        anchors_xy = rng.uniform(-100, 100, (500, 3, 2))
+        distances = rng.uniform(0.0, 250.0, (500, 3))
+        centre, scale, local = localization._frame(anchors_xy)
+        ranges = distances / scale[:, None]
+        start = centre + scale[:, None] * localization._linear_start(local, ranges)
+        start_rms = [np.sqrt(np.mean(range_residuals(p, a, d) ** 2))
+                     for p, a, d in zip(start, anchors_xy, distances)]
+        _, rms, _, _ = solve_ranges_batch(anchors_xy, distances)
+        assert (rms <= np.array(start_rms) * (1 + 1e-12)).all()
+
+    @pytest.mark.parametrize("spread", [1e-300, 1e-150, 1e-50, 1.0, 1e50, 1e100, 1e150])
+    def test_finite_at_any_anchor_spread(self, spread):
+        anchors_xy = spread * EXAMPLE_BS_XY / 5.0
+        targets = spread * np.array([[0.6, 0.6], [-0.6, -0.6], [3.0, -7.0]])
+        exact = np.hypot(*(targets[:, None, :] - anchors_xy).transpose(2, 0, 1))
+        inconsistent = spread * np.random.default_rng(4).uniform(0.0, 3.0, (20, 3))
+        positions, rms, _, _ = solve_ranges_batch(anchors_xy, np.concatenate([exact, inconsistent]))
+        assert np.isfinite(positions).all()
+        assert np.isfinite(rms).all()
+        errors = np.hypot(*(positions[:len(targets)] - targets).T)
+        assert (errors <= 1e-9 * spread).all()
 
 
 class TestJacobian:

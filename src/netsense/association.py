@@ -7,11 +7,18 @@ M anchors. A hypothesis is feasible when every target slot trilaterates with
 residual at or below the feasibility tolerance.
 
 A target slot's residual depends only on the distance index chosen at each
-anchor, so every solver works on one shared subproblem table: all K^M index
-combinations trilaterated in one batch. ``SubproblemBatch`` stacks the tables
-of many problems into a single solver call. Enumeration and branch-and-bound
-are then one depth-first search over those residuals, which fills target
-slots in order and never builds the hypotheses it rules out.
+anchor, so every solver works on one shared subproblem table over all K^M
+index combinations. Most combinations mix ranges of different targets, and
+a pairwise triangle test at the feasibility tolerance proves them
+infeasible without solving them; only the survivors are trilaterated
+(the gating step of multi-target tracking: Blackman and Popoli, *Design and
+Analysis of Modern Tracking Systems*, 1999). Gated rows hold rms +inf, and a
+search at a looser tolerance than the gate's, such as the search for the
+best max residual when nothing is feasible, first solves them in one call.
+``SubproblemBatch`` stacks the survivors of many problems into a single
+solver call. Enumeration and branch-and-bound are then one depth-first
+search over the table's residuals, which fills target slots in order and
+never builds the hypotheses it rules out.
 """
 
 from __future__ import annotations
@@ -119,6 +126,42 @@ def _check_inputs(profiles: Sequence[DistanceProfile], anchors_xy: np.ndarray) -
     return n_targets, n_anchors
 
 
+# Relative allowance for rounding in the pairwise gate, in units of the
+# magnitudes the test compares. A target on the line through two BSs meets
+# one of its triangle inequalities with equality, so without this allowance
+# the gate could drop the true row by one ulp at a tiny tolerance.
+GATE_ROUNDING = 16 * np.finfo(float).eps
+
+
+def _pairwise_admissible(ranges: np.ndarray, anchors: np.ndarray, problem: np.ndarray,
+                         tol: np.ndarray) -> np.ndarray:
+    """Rows that can trilaterate with rms at most their tolerance.
+
+    ``ranges`` is (N, M), one row per distance index combination;
+    ``anchors`` (P, M, 2) and ``tol`` (P,) are the problems' anchors and
+    tolerances, and ``problem`` (N,) says which problem each row belongs to.
+    A row with rms <= tol has r_i^2 + r_j^2 <= M tol^2 at every anchor pair,
+    so |r_i| + |r_j| <= sqrt(2M) tol, and the triangle inequality through
+    the solution gives |d_i - d_j| <= |a_i - a_j| + sqrt(2M) tol and
+    d_i + d_j >= |a_i - a_j| - sqrt(2M) tol. A row failing either test at
+    any pair can never be feasible. The slack also allows GATE_ROUNDING of
+    every magnitude the solver's rms and this test round at, including the
+    anchor extent of the solver's centred frame.
+    """
+    n_anchors = ranges.shape[1]
+    offsets = anchors - anchors.mean(axis=1, keepdims=True)
+    extent = np.hypot(offsets[:, :, 0], offsets[:, :, 1]).max(axis=1)
+    tol_slack = math.sqrt(2 * n_anchors) * tol
+    slack = (tol_slack + GATE_ROUNDING * (extent + tol_slack))[problem]
+    admissible = np.ones(len(ranges), bool)
+    for i, j in itertools.combinations(range(n_anchors), 2):
+        spread = np.hypot(*(anchors[:, i] - anchors[:, j]).T)[problem]
+        di, dj = ranges[:, i], ranges[:, j]
+        pair_slack = slack + GATE_ROUNDING * (di + dj + spread)
+        admissible &= (np.abs(di - dj) <= spread + pair_slack) & (di + dj >= spread - pair_slack)
+    return admissible
+
+
 class _SubproblemTable:
     """Trilateration results for every distance index combination.
 
@@ -127,14 +170,38 @@ class _SubproblemTable:
     once and shared by every hypothesis. Row ``flat`` holds the combination
     whose anchor-wise indices are the base-K digits of ``flat``, anchor 1
     most significant.
+
+    Rows the pairwise gate ruled out at ``gate_tol`` are left unsolved and
+    hold rms +inf; ``ungate`` solves them before a search at a looser
+    tolerance. ``solved_rows`` counts rows given to the solver so far and
+    ``gated_rows`` the rows the gate ruled out when the table was built.
     """
 
-    def __init__(self, n_targets: int, n_anchors: int, positions: np.ndarray,
-                 rms: np.ndarray, converged: np.ndarray, iterations: np.ndarray):
+    def __init__(self, n_targets: int, n_anchors: int, anchors_xy: np.ndarray,
+                 ranges: np.ndarray, gate_tol: float, solved: np.ndarray,
+                 positions: np.ndarray, rms: np.ndarray, converged: np.ndarray,
+                 iterations: np.ndarray):
         self.k = n_targets
         self.m = n_anchors
+        self.anchors_xy, self.ranges = anchors_xy, ranges
+        self.gate_tol, self.solved = gate_tol, solved
         self.positions, self.rms = positions, rms
         self.converged, self.iterations = converged, iterations
+        self.solved_rows = int(np.count_nonzero(solved))
+        self.gated_rows = len(solved) - self.solved_rows
+
+    def ungate(self, tol: float) -> None:
+        """Solve the gated rows in one call if ``tol`` is looser than the gate's."""
+        if tol <= self.gate_tol:
+            return
+        rows = np.flatnonzero(~self.solved)
+        results = solve_ranges_batch(self.anchors_xy, self.ranges[rows])
+        for column, values in zip((self.positions, self.rms, self.converged, self.iterations),
+                                  results):
+            column[rows] = values
+        self.solved[rows] = True
+        self.solved_rows += len(rows)
+        self.gate_tol = math.inf
 
     def estimate(self, flat: int) -> PositionEstimate:
         return PositionEstimate(
@@ -148,19 +215,23 @@ class _SubproblemTable:
 class SubproblemBatch:
     """Subproblem rows of several association problems, solved in one call.
 
-    ``add`` validates one problem and stacks its K^M rows, each with that
-    problem's own anchors; ``solve`` runs them all through a single
-    ``solve_ranges_batch`` call and returns one table per added problem, in
-    order. Every row's result is bitwise what a separate call would give.
-    All problems in a batch need the same anchor count M.
+    ``add`` validates one problem and stacks its K^M rows with that
+    problem's anchors and feasibility tolerance; ``solve`` gates every
+    stacked row by the pairwise triangle test at its problem's tolerance,
+    runs the survivors through a single ``solve_ranges_batch`` call, and
+    returns one table per added problem, in order. Every solved row's result
+    is bitwise what a separate call would give. All problems in a batch need
+    the same anchor count M.
     """
 
     def __init__(self):
         self._shapes: list[tuple[int, int]] = []
         self._anchors: list[np.ndarray] = []
         self._rows: list[np.ndarray] = []
+        self._tols: list[float] = []
 
-    def add(self, profiles: Sequence[DistanceProfile], anchors) -> None:
+    def add(self, profiles: Sequence[DistanceProfile], anchors, tol: float = math.inf) -> None:
+        """Stack one problem's rows; ``tol`` = inf gates nothing."""
         anchors_xy = _as_anchor_array(anchors)
         n_targets, n_anchors = _check_inputs(profiles, anchors_xy)
         if self._shapes and self._shapes[0][1] != n_anchors:
@@ -169,25 +240,36 @@ class SubproblemBatch:
         dists = [np.array(p.distances, float) for p in profiles]
         self._shapes.append((n_targets, n_anchors))
         self._rows.append(np.stack([dists[m][combos[:, m]] for m in range(n_anchors)], axis=1))
-        self._anchors.append(np.broadcast_to(anchors_xy, (len(combos),) + anchors_xy.shape))
+        self._anchors.append(anchors_xy)
+        self._tols.append(tol)
 
     def solve(self) -> list[_SubproblemTable]:
         if not self._rows:
             return []
-        results = solve_ranges_batch(np.concatenate(self._anchors), np.concatenate(self._rows))
+        anchors = np.stack(self._anchors)  # (P, M, 2)
+        problem = np.repeat(np.arange(len(anchors)), [len(r) for r in self._rows])
+        rows = np.concatenate(self._rows)
+        solved = _pairwise_admissible(rows, anchors, problem, np.array(self._tols))
+        keep = np.flatnonzero(solved)
+        columns = (np.full((len(rows), 2), np.nan), np.full(len(rows), np.inf),
+                   np.zeros(len(rows), bool), np.zeros(len(rows), int))
+        for column, values in zip(columns, solve_ranges_batch(anchors[problem[keep]], rows[keep])):
+            column[keep] = values
         tables, start = [], 0
-        for (n_targets, n_anchors), rows in zip(self._shapes, self._rows):
-            stop = start + len(rows)
-            tables.append(_SubproblemTable(n_targets, n_anchors,
-                                           *(r[start:stop] for r in results)))
-            start = stop
+        for (n_targets, n_anchors), anchors_xy, tol, own in zip(self._shapes, anchors,
+                                                                self._tols, self._rows):
+            part = slice(start, start + len(own))
+            tables.append(_SubproblemTable(n_targets, n_anchors, anchors_xy, rows[part], tol,
+                                           solved[part], *(c[part] for c in columns)))
+            start = part.stop
         return tables
 
 
-def subproblem_table(profiles: Sequence[DistanceProfile], anchors) -> _SubproblemTable:
-    """The validated, solved subproblem table of one association problem."""
+def subproblem_table(profiles: Sequence[DistanceProfile], anchors,
+                     tol: float = math.inf) -> _SubproblemTable:
+    """The validated, solved subproblem table of one association problem, gated at ``tol``."""
     batch = SubproblemBatch()
-    batch.add(profiles, anchors)
+    batch.add(profiles, anchors, tol)
     return batch.solve()[0]
 
 
@@ -212,8 +294,11 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> list[tuple]:
     returned. With ``best`` true a branch is cut once its partial max
     residual exceeds the best complete one by more than RESIDUAL_TIE_EPS_M,
     and exactly the hypotheses within that band of the optimum are returned.
-    Each result is (max_residual_m, assignment, flat row per slot).
+    Each result is (max_residual_m, assignment, flat row per slot). Rows
+    the table's gate left unsolved are solved first when ``tol`` is looser
+    than the gate's.
     """
+    table.ungate(tol)
     k, m = table.k, table.m
     per_slot = k ** (m - 1)
     rms = table.rms.reshape(k, per_slot)  # row s: anchor-1 index s
@@ -280,12 +365,14 @@ def enumerate_feasible(
     hypothesis order). Raises ValueError above MAX_HYPOTHESES hypotheses.
 
     When given, ``stats`` receives bookkeeping: hypotheses_examined and
-    best_max_residual_m over the whole search space. ``table`` is the
-    subproblem table of these profiles and anchors, already validated and
-    solved (see ``SubproblemBatch``); without it the table is built here.
+    best_max_residual_m over the whole search space, and the table's
+    solved_rows and gated_rows. ``table`` is the subproblem table of these
+    profiles and anchors, already validated and solved (see
+    ``SubproblemBatch``); without it the table is built here, gated at
+    ``feas_tol_m``.
     """
     if table is None:
-        table = subproblem_table(profiles, anchors)
+        table = subproblem_table(profiles, anchors, feas_tol_m)
     total = _hypothesis_count(table.k, table.m)
 
     solutions = [
@@ -303,6 +390,8 @@ def enumerate_feasible(
         # A hypothesis below the first solution's max residual would be feasible too.
         stats["best_max_residual_m"] = (solutions[0].max_residual_m if solutions
                                         else _best_max_residual(table))
+        stats["solved_rows"] = table.solved_rows
+        stats["gated_rows"] = table.gated_rows
     return solutions
 
 
@@ -356,7 +445,7 @@ def solve_association_bnb(
     ``table`` is as in ``enumerate_feasible``.
     """
     if table is None:
-        table = subproblem_table(profiles, anchors)
+        table = subproblem_table(profiles, anchors, feas_tol_m)
     tied = _search(table, feas_tol_m, best=True)
     if not tied:
         raise _infeasible(feas_tol_m, _best_max_residual(table))

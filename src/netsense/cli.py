@@ -475,7 +475,7 @@ def _cmd_associate(opts: dict) -> None:
     anchors = scn.bs_positions()
 
     # One solved subproblem table serves the enumeration and either solver.
-    table = association.subproblem_table(profiles, anchors)
+    table = association.subproblem_table(profiles, anchors, opts["tol"])
     solutions = association.enumerate_feasible(profiles, anchors, opts["tol"], table=table)
     truth = [t.position for t in scn.targets]
     ghost_report = association.build_ghost_report(

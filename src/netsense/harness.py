@@ -4,9 +4,10 @@ Every trial draws from its own child stream of the master seed (indexed by
 trial number), so reports are byte-identical regardless of execution order
 or worker count.
 
-Trials run in chunks of at most CHUNK_ROWS solver rows. A chunk first draws
-each trial's scene and measurements, then solves the subproblem rows of all
-its full-detection trials in one stacked solver call, then scores each trial
+Trials run in chunks of at most CHUNK_ROWS subproblem rows. A chunk first
+draws each trial's scene and measurements, then solves the subproblem rows
+of all its full-detection trials that pass the gate at the trial's
+association tolerance in one stacked solver call, then scores each trial
 from its own table. A chunk is also the unit of work handed to a worker pool.
 """
 
@@ -282,9 +283,10 @@ def _run_chunk(args: tuple) -> list[dict]:
     """Records of one chunk of (noise, trial, trial seed) jobs.
 
     Phase 1 draws each trial's scene and measurements and validates its
-    association problem; phase 2 solves every full-detection trial's
-    subproblem rows in one stacked call; phase 3 scores each trial from its
-    own table with ``make_record``.
+    association problem; phase 2 gates every full-detection trial's
+    subproblem rows at its association tolerance and solves the survivors in
+    one stacked call; phase 3 scores each trial from its own table with
+    ``make_record``.
     """
     make_record, spec, jobs = args
     batch = SubproblemBatch()
@@ -293,7 +295,9 @@ def _run_chunk(args: tuple) -> list[dict]:
         scene = _trial_scene(spec, trial_seed)
         ms = measure_distances(scene, spec.link, spec.snr_min_db, noise, trial_seed)
         if ms.full_detection:
-            batch.add(ms.profiles, scene.bs_positions())
+            batch.add(ms.profiles, scene.bs_positions(),
+                      _association_tol(spec.feas_tol_m, noise.effective_sigma_m(),
+                                       len(ms.profiles)))
         drawn.append((trial, trial_seed, scene, noise, ms))
     tables = iter(batch.solve())
     return [make_record(spec, *d, next(tables) if d[-1].full_detection else None)

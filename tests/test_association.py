@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netsense import association
@@ -24,6 +24,7 @@ from netsense.errors import (
     InfeasibleAssociationError,
     UnequalCardinalityError,
 )
+from netsense.localization import PositionEstimate, solve_ranges_batch
 from netsense.scene import Bounds, Point2, load_scene, random_scene
 
 EXAMPLE_BS_XY = np.array([[-3.5, 0.0], [5.0, 0.0], [0.0, -4.5]])
@@ -313,7 +314,8 @@ def check_against_brute_force(profiles, anchors, tol, table):
         h[:2] for h in feasible]
     for s, (_, _, flats) in zip(solutions, feasible):
         assert s.estimates == tuple(table.estimate(f) for f in flats)
-    assert stats == {"hypotheses_examined": len(oracle), "best_max_residual_m": best}
+    assert stats == {"hypotheses_examined": len(oracle), "best_max_residual_m": best,
+                     "solved_rows": len(table.rms), "gated_rows": 0}
 
     if not feasible:
         for solve in (solve_association, solve_association_bnb):
@@ -363,6 +365,98 @@ class TestSearchAgainstBruteForce:
         if tol > 1e-15:
             assert solve_association_bnb(profiles, EXAMPLE_BS_XY, tol).hypothesis.assignment == (
                 (0, 1), (0, 1), (0, 1))
+
+
+class DenseTable:
+    """Test-local dense oracle: every distance index combination solved, none gated."""
+
+    def __init__(self, profiles, anchors):
+        self.k, self.m = len(profiles[0].distances), len(profiles)
+        combos = itertools.product(*(p.distances for p in profiles))  # anchor 1 most significant
+        self.positions, self.rms, self.converged, self.iterations = solve_ranges_batch(
+            np.asarray(anchors, float), np.array(list(combos)))
+
+    def estimate(self, flat):
+        return PositionEstimate(Point2(float(self.positions[flat, 0]),
+                                       float(self.positions[flat, 1])),
+                                float(self.rms[flat]), bool(self.converged[flat]),
+                                int(self.iterations[flat]))
+
+
+class TestPairwiseGate:
+    @staticmethod
+    def columns(table):
+        return table.positions, table.rms, table.converged, table.iterations
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), m=st.integers(3, 5),
+           sigma=st.sampled_from([0.0, 0.01, 0.1, 1.0]), level=st.integers(-1, 10**6))
+    def test_matches_dense_oracle(self, seed, k, m, sigma, level):
+        # The tolerance is 1e-12 (level -1) or one of the rows' rms values,
+        # the largest of which makes every hypothesis feasible. Above 1,296
+        # hypotheses only the 2K tightest levels are drawn, so the listings
+        # stay short; above 14,400 the brute force itself is too slow.
+        hypotheses = math.factorial(k) ** (m - 1)
+        assume(hypotheses <= 14_400)
+        profiles, anchors = noisy_problem(seed, k, m, sigma)
+        oracle = DenseTable(profiles, anchors)
+        levels = sorted(set(oracle.rms.tolist()))[:None if hypotheses <= 1296 else 2 * k]
+        tol = 1e-12 if level < 0 else levels[level % len(levels)]
+
+        gated = subproblem_table(profiles, anchors, tol)
+        assert not (oracle.rms[~gated.solved] <= tol).any()  # the gate is sound
+        assert (gated.rms[~gated.solved] == np.inf).all()
+        for got, want in zip(self.columns(gated), self.columns(oracle)):
+            assert np.array_equal(got[gated.solved], want[gated.solved])
+        dense = subproblem_table(profiles, anchors)
+        for got, want in zip(self.columns(dense), self.columns(oracle)):
+            assert np.array_equal(got, want)
+
+        stats, dense_stats = {}, {}
+        solutions = enumerate_feasible(profiles, anchors, tol, stats=stats)
+        assert solutions == enumerate_feasible(profiles, anchors, tol, stats=dense_stats,
+                                               table=dense)
+        solved_rows = k ** m if not solutions else k ** m - gated.gated_rows
+        assert stats == {**dense_stats, "solved_rows": solved_rows,
+                         "gated_rows": gated.gated_rows}
+        check_against_brute_force(profiles, anchors, tol, dense)
+
+    def test_collinear_target_stays_feasible(self):
+        # The target lies on the line through bs1 and bs2, beyond bs2, so
+        # d1 - d2 = |a1 - a2| exactly; in floating point the two sides differ
+        # by an ulp larger than sqrt(2M) * tol at this 100 km scale, while
+        # the solver reaches the target at rms exactly 0.
+        anchors = np.array([[0.0, 0.0], [1e4, 3e4], [1e4, 2e4]])
+        profiles = profiles_for(anchors, np.array([[3e4, 9e4]]))
+        solutions = enumerate_feasible(profiles, anchors, 1e-12)
+        assert len(solutions) == 1
+        assert solutions[0].max_residual_m <= 1e-12
+
+    def test_infeasible_best_residual_is_dense(self):
+        profiles, anchors = noisy_problem(11, 3, 4, 0.5)
+        oracle = DenseTable(profiles, anchors)
+        best = min(h[0] for h in brute_force_hypotheses(oracle))
+        stats = {}
+        assert enumerate_feasible(profiles, anchors, 1e-12, stats=stats) == []
+        assert stats["best_max_residual_m"] == best
+        assert stats["solved_rows"] == 3 ** 4 and stats["gated_rows"] > 0
+        for solve in (solve_association, solve_association_bnb):
+            with pytest.raises(InfeasibleAssociationError) as err:
+                solve(profiles, anchors, 1e-12)
+            assert err.value.best_residual_m == best
+
+    def test_looser_search_solves_gated_rows(self):
+        profiles, anchors = noisy_problem(12, 3, 4, 0.0)
+        table = subproblem_table(profiles, anchors, 1e-6)
+        gated = table.gated_rows
+        assert gated > 0 and table.solved_rows == 3 ** 4 - gated
+        enumerate_feasible(profiles, anchors, 1e-6, table=table)
+        assert table.solved_rows == 3 ** 4 - gated  # nothing looser asked for
+        enumerate_feasible(profiles, anchors, 1.0, table=table)
+        assert table.solved_rows == 3 ** 4 and table.gated_rows == gated
+        oracle = DenseTable(profiles, anchors)
+        assert np.array_equal(table.rms, oracle.rms)
+        assert np.array_equal(table.positions, oracle.positions)
 
 
 class TestFeasibleCountInvariance:
@@ -436,6 +530,21 @@ class TestSubproblemBatch:
                               (table.converged, single.converged),
                               (table.iterations, single.iterations)):
                 assert np.array_equal(got, want)
+
+    def test_survivors_equal_dense_rows(self):
+        problems = [noisy_problem(seed, k, 4, sigma) for seed, k, sigma in
+                    ((1, 1, 0.0), (2, 3, 0.1), (3, 2, 1.0), (4, 3, 0.0))]
+        tols = (1e-6, 0.6, 6.0, 1e-12)
+        batch = SubproblemBatch()
+        for (profiles, anchors), tol in zip(problems, tols):
+            batch.add(profiles, anchors, tol)
+        for table, (profiles, anchors), tol in zip(batch.solve(), problems, tols):
+            dense = subproblem_table(profiles, anchors)
+            assert table.gate_tol == tol and table.solved.any()
+            for got, want in ((table.positions, dense.positions), (table.rms, dense.rms),
+                              (table.converged, dense.converged),
+                              (table.iterations, dense.iterations)):
+                assert np.array_equal(got[table.solved], want[table.solved])
 
     def test_shared_table_gives_same_results(self):
         profiles, anchors = noisy_problem(5, 3, 4, 0.1)

@@ -361,8 +361,10 @@ def enumerate_feasible(
     Anchor 1's assignment is fixed to the identity; the search decides all
     (K!)^(M-1) permutation tuples for anchors 2..M. A hypothesis is kept
     iff every target slot trilaterates with residual_rms <= feas_tol_m.
-    Results are sorted by max residual ascending (ties in lexicographic
-    hypothesis order). Raises ValueError above MAX_HYPOTHESES hypotheses.
+    Solutions within RESIDUAL_TIE_EPS_M of the smallest max residual tie and
+    come first, in lexicographic hypothesis order, so the first solution is
+    the best one; the rest follow by max residual, then hypothesis order.
+    Raises ValueError above MAX_HYPOTHESES hypotheses.
 
     When given, ``stats`` receives bookkeeping: hypotheses_examined and
     best_max_residual_m over the whole search space, and the table's
@@ -383,22 +385,18 @@ def enumerate_feasible(
         )
         for max_residual, assignment, flats in _search(table, feas_tol_m, best=False)
     ]
-    solutions.sort(key=lambda s: (s.max_residual_m, s.hypothesis.assignment))
+    best = min((s.max_residual_m for s in solutions), default=math.inf)
+    # Every tie sorts as if at the top of the band, so only the order breaks it.
+    solutions.sort(key=lambda s: (max(s.max_residual_m, best + RESIDUAL_TIE_EPS_M),
+                                  s.hypothesis.assignment))
 
     if stats is not None:
         stats["hypotheses_examined"] = total
-        # A hypothesis below the first solution's max residual would be feasible too.
-        stats["best_max_residual_m"] = (solutions[0].max_residual_m if solutions
-                                        else _best_max_residual(table))
+        # A hypothesis below the best solution's max residual would be feasible too.
+        stats["best_max_residual_m"] = best if solutions else _best_max_residual(table)
         stats["solved_rows"] = table.solved_rows
         stats["gated_rows"] = table.gated_rows
     return solutions
-
-
-def _pick_minimal(solutions: Sequence[AssociationSolution]) -> AssociationSolution:
-    best = min(s.max_residual_m for s in solutions)
-    tied = [s for s in solutions if s.max_residual_m <= best + RESIDUAL_TIE_EPS_M]
-    return min(tied, key=lambda s: s.hypothesis.assignment)
 
 
 def _infeasible(feas_tol_m: float, best_residual_m: float) -> InfeasibleAssociationError:
@@ -424,7 +422,7 @@ def solve_association(
     solutions = enumerate_feasible(profiles, anchors, feas_tol_m, stats=stats)
     if not solutions:
         raise _infeasible(feas_tol_m, stats["best_max_residual_m"])
-    return _pick_minimal(solutions)
+    return solutions[0]
 
 
 def solve_association_bnb(

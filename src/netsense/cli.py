@@ -486,7 +486,7 @@ def _cmd_associate(opts: dict) -> None:
         if opts["solver"] == "bnb":
             best = association.solve_association_bnb(profiles, anchors, opts["tol"], table=table)
         else:
-            best = association._pick_minimal(solutions)
+            best = solutions[0]
 
     payload = {
         "solver": opts["solver"],

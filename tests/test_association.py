@@ -96,9 +96,21 @@ class TestEnumerateFeasible:
         assert stats["hypotheses_examined"] == 1
 
     def test_sorted_by_max_residual(self):
+        # Max residuals within RESIDUAL_TIE_EPS_M of the best count as equal;
+        # beyond that band the listing ascends.
+        profiles, anchors = noisy_problem(5, 3, 4, 0.1)
+        solutions = enumerate_feasible(profiles, anchors, 50.0)
+        band = min(s.max_residual_m for s in solutions) + association.RESIDUAL_TIE_EPS_M
+        residuals = [max(s.max_residual_m, band) for s in solutions]
+        assert len(solutions) > 2 and residuals == sorted(residuals)
+
+    def test_ties_list_in_hypothesis_order(self):
+        # Example 1's two exact solutions differ in max residual only by float
+        # noise (the identity's is the larger); the identity lists first.
         solutions = enumerate_feasible(example1_profiles(), EXAMPLE_BS_XY, 1e-3)
-        residuals = [s.max_residual_m for s in solutions]
-        assert residuals == sorted(residuals)
+        assert [s.hypothesis.assignment for s in solutions] == [
+            ((0, 1), (0, 1), (0, 1)), ((0, 1), (0, 1), (1, 0))]
+        assert solutions[0] == solve_association(example1_profiles(), EXAMPLE_BS_XY, 1e-3)
 
     @pytest.mark.parametrize("k,m", [(2, 3), (3, 3), (2, 4), (3, 4)])
     def test_hypothesis_count(self, k, m):
@@ -307,7 +319,10 @@ def check_against_brute_force(profiles, anchors, tol, table):
     """Every search result for ``tol`` equals what the brute force implies."""
     oracle = brute_force_hypotheses(table)
     best = min(h[0] for h in oracle)
-    feasible = sorted((h for h in oracle if h[0] <= tol), key=lambda h: h[:2])
+    # Ties within RESIDUAL_TIE_EPS_M of the best come first in hypothesis order.
+    band = best + association.RESIDUAL_TIE_EPS_M
+    feasible = (sorted((h for h in oracle if h[0] <= min(tol, band)), key=lambda h: h[1])
+                + sorted((h for h in oracle if band < h[0] <= tol), key=lambda h: h[:2]))
     stats = {}
     solutions = enumerate_feasible(profiles, anchors, tol, stats=stats, table=table)
     assert [(s.max_residual_m, s.hypothesis.assignment) for s in solutions] == [

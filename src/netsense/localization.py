@@ -123,11 +123,19 @@ def _linear_start(local: np.ndarray, ranges: np.ndarray) -> np.ndarray:
     leaves M equations linear in x, a_i . x = b_i, since the frame puts the
     anchor mean at the origin (Caffery, "A new approach to the geometry of
     TOA location", IEEE VTC 2000). A singular or non-finite row starts at
-    the origin, its anchor centroid.
+    the origin, its anchor centroid. On nearly collinear anchors the linear
+    system is ill-conditioned and can put the start far outside the scene,
+    so a start is pulled back onto the disk of radius min_i(d_i + |a_i|)
+    around the origin: a point within d_i of every anchor a_i lies in it.
     """
     sq = 0.5 * (np.sum(local ** 2, axis=2) - ranges ** 2)
     start = _normal_solve(local, sq - sq.mean(axis=1)[:, None])
-    return np.where(np.isfinite(start).all(axis=1)[:, None], start, 0.0)
+    start = np.where(np.isfinite(start).all(axis=1)[:, None], start, 0.0)
+    radius = np.min(ranges + np.hypot(local[:, :, 0], local[:, :, 1]), axis=1)
+    norm = np.hypot(start[:, 0], start[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shrink = np.where(norm > radius, radius / norm, 1.0)
+    return start * shrink[:, None]
 
 
 def _gauss_newton(

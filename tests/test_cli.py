@@ -610,8 +610,8 @@ class TestGoldenReports:
         "accuracy": (
             ["montecarlo", "--mode", "accuracy", "--num-bs", "4", "--num-targets", "3",
              "--sigma-list", "0.0,0.1,0.5,1.0", "--trials", "20", "--seed", "2025"],
-            "a46ba3e48c83672968dc89aa8dd15325622a9d73baac2ba3f82dca24f268651b",
-            "d74b7c2b618f198bb49d9c7886c7382c078fa5978392fbf2f5426c0567f7171d",
+            "6976d5fa1b7a195f5da0667496427348320f41597b8f8ee562bfa3e27ed5b2c8",
+            "f58943dbf9514d6de5b8163c23e1b0060828c657082262024b2c9823e3a1bd72",
         ),
         # Every link flag away from its default pins the serialized spec.link.
         "link": (

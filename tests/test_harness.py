@@ -192,6 +192,15 @@ class TestAccuracyExperiment:
         report = run_accuracy_experiment(spec, [0.0, 0.05])
         assert accuracy_aggregates(report.records) == report.aggregates
 
+    def test_nearly_collinear_bs_trial_is_correct(self):
+        # Seed 105, trial 60 at sigma 1 m draws three nearly collinear BSs;
+        # an unclamped linear start put a true row at (8391, 1527) m, outside
+        # this 300 m scene, the row stalled at rms 290 m and a ghost won
+        # (rmse 176 m).
+        spec = ExperimentSpec(random_plan=PLAN, trials=61, seed=105)
+        record = run_accuracy_experiment(spec, [1.0]).records[60]
+        assert record["correct"] and record["rmse_m"] < 1.0
+
     def test_empty_sigma_list_rejected(self):
         spec = ExperimentSpec(random_plan=PLAN, trials=2, seed=0)
         with pytest.raises(ValueError):

@@ -192,7 +192,7 @@ class _SubproblemTable:
 
     def ungate(self, tol: float) -> None:
         """Solve the gated rows in one call if ``tol`` is looser than the gate's."""
-        if tol <= self.gate_tol:
+        if tol <= self.gate_tol or self.solved_rows == len(self.solved):
             return
         rows = np.flatnonzero(~self.solved)
         results = solve_ranges_batch(self.anchors_xy, self.ranges[rows])

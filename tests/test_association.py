@@ -460,6 +460,17 @@ class TestPairwiseGate:
                 solve(profiles, anchors, 1e-12)
             assert err.value.best_residual_m == best
 
+    def test_every_row_gated(self):
+        # |d1 - d2| = 99 m exceeds |a1 - a2| = 8.5 m by far: the only row is gated.
+        profiles = [DistanceProfile("bs1", (100.0,)), DistanceProfile("bs2", (1.0,)),
+                    DistanceProfile("bs3", (1.0,))]
+        table = subproblem_table(profiles, EXAMPLE_BS_XY, 1e-6)
+        assert (table.solved_rows, table.gated_rows) == (0, 1)
+        stats = {}
+        assert enumerate_feasible(profiles, EXAMPLE_BS_XY, 1e-6, stats=stats) == []
+        assert stats["best_max_residual_m"] == DenseTable(profiles, EXAMPLE_BS_XY).rms[0]
+        assert (stats["solved_rows"], stats["gated_rows"]) == (1, 1)
+
     def test_looser_search_solves_gated_rows(self):
         profiles, anchors = noisy_problem(12, 3, 4, 0.0)
         table = subproblem_table(profiles, anchors, 1e-6)

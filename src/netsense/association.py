@@ -216,11 +216,13 @@ class SubproblemBatch:
     """Subproblem rows of several association problems, solved in one call.
 
     ``add`` validates one problem and stacks its K^M rows with that
-    problem's anchors and feasibility tolerance; ``solve`` gates every
-    stacked row by the pairwise triangle test at its problem's tolerance,
-    runs the survivors through a single ``solve_ranges_batch`` call, and
-    returns one table per added problem, in order. Every solved row's result
-    is bitwise what a separate call would give. All problems in a batch need
+    problem's anchors and feasibility tolerance; ``gate`` tests every row
+    not yet gated by the pairwise triangle test at its problem's tolerance,
+    in one pass, and counts the ``survivors``; ``solve`` gates what is left,
+    runs every survivor through a single ``solve_ranges_batch`` call, and
+    returns one table per added problem, in order. ``ungated_rows`` counts
+    the rows stacked since the last gate. Every solved row's result is
+    bitwise what a separate call would give. All problems in a batch need
     the same anchor count M.
     """
 
@@ -229,6 +231,9 @@ class SubproblemBatch:
         self._anchors: list[np.ndarray] = []
         self._rows: list[np.ndarray] = []
         self._tols: list[float] = []
+        self._admissible: list[np.ndarray] = []  # one per gate, in row order
+        self._gated = 0  # problems gated so far
+        self.stacked_rows = self.ungated_rows = self.survivors = 0
 
     def add(self, profiles: Sequence[DistanceProfile], anchors, tol: float = math.inf) -> None:
         """Stack one problem's rows; ``tol`` = inf gates nothing."""
@@ -242,14 +247,30 @@ class SubproblemBatch:
         self._rows.append(np.stack([dists[m][combos[:, m]] for m in range(n_anchors)], axis=1))
         self._anchors.append(anchors_xy)
         self._tols.append(tol)
+        self.stacked_rows += len(combos)
+        self.ungated_rows += len(combos)
+
+    def gate(self) -> None:
+        """Gate the rows of every problem added since the last gate, in one pass."""
+        start, self._gated = self._gated, len(self._rows)
+        if start == self._gated:
+            return
+        own = self._rows[start:]
+        problem = np.repeat(np.arange(len(own)), [len(r) for r in own])
+        admissible = _pairwise_admissible(np.concatenate(own), np.stack(self._anchors[start:]),
+                                          problem, np.array(self._tols[start:]))
+        self._admissible.append(admissible)
+        self.survivors += int(np.count_nonzero(admissible))
+        self.ungated_rows = 0
 
     def solve(self) -> list[_SubproblemTable]:
         if not self._rows:
             return []
+        self.gate()
         anchors = np.stack(self._anchors)  # (P, M, 2)
         problem = np.repeat(np.arange(len(anchors)), [len(r) for r in self._rows])
         rows = np.concatenate(self._rows)
-        solved = _pairwise_admissible(rows, anchors, problem, np.array(self._tols))
+        solved = np.concatenate(self._admissible)
         keep = np.flatnonzero(solved)
         columns = (np.full((len(rows), 2), np.nan), np.full(len(rows), np.inf),
                    np.zeros(len(rows), bool), np.zeros(len(rows), int))

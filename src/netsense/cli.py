@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -161,7 +162,10 @@ def _add_link_flags(parser: argparse.ArgumentParser) -> None:
                    help="sensing SNR threshold [dB]")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(seed: int | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; ``seed`` is the --seed default (see ``_default_seed``)."""
+    if seed is None:
+        seed = _default_seed()
     parser = argparse.ArgumentParser(
         prog="netsense",
         description="Networked device-free sensing simulator and analysis toolkit.",
@@ -178,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sequence length (zc) or subcarrier count (ofdm)")
     p.add_argument("--root", type=int, default=25, help="Zadoff-Chu root")
     p.add_argument("--cp", type=int, default=16, help="OFDM cyclic prefix length")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--doppler-bins", type=int, default=16)
     p.add_argument("--mode", choices=("cyclic", "linear"), default="cyclic")
     p.add_argument("--mainlobe-exclusion", type=int, default=1)
@@ -201,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ghosts", help="Monte Carlo ghost-probability estimate")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--num-bs", type=int, default=3)
     p.add_argument("--num-targets", type=int, default=2)
     p.add_argument("--bounds", type=_finite_float, nargs=4, default=[-150.0, -150.0, 150.0, 150.0],
@@ -218,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("montecarlo", help="uniqueness or accuracy experiment")
     p.add_argument("--mode", choices=("uniqueness", "accuracy"), default="uniqueness")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--sigma-list", type=_sigma_list, default="0.0,0.01,0.1",
                    help="comma-separated range sigmas [m] (accuracy mode)")
     p.add_argument("--scene", default=None, help="fixed scene JSON (default: random per trial)")
@@ -238,10 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built once; ``parse_and_dispatch`` sets its --seed defaults."""
+    return build_parser(DEFAULT_SEED)
+
+
 def _option_actions() -> dict[str, dict[str, argparse.Action]]:
     """Each subcommand's argparse actions by option key (dest)."""
-    parser = build_parser()
-    sub_action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub_action = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
     return {name: {a.dest: a for a in sp._actions if a.dest != "help"}
             for name, sp in sub_action.choices.items()}
 
@@ -660,12 +669,15 @@ def dispatch_config(cfg: RunConfig) -> int:
 def parse_and_dispatch(argv: Sequence[str] | None = None) -> int:
     """Parse argv, route to the subcommand, and return the exit code."""
     try:
-        parser = build_parser()
+        seed = _default_seed()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for actions in _option_actions().values():
+        if "seed" in actions:
+            actions["seed"].default = seed
     try:
-        namespace = parser.parse_args(argv if argv is not None else sys.argv[1:])
+        namespace = _parser().parse_args(argv if argv is not None else sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -4,11 +4,12 @@ Every trial draws from its own child stream of the master seed (indexed by
 trial number), so reports are byte-identical regardless of execution order
 or worker count.
 
-Trials run in chunks of at most CHUNK_ROWS subproblem rows. A chunk first
-draws each trial's scene and measurements, then solves the subproblem rows
-of all its full-detection trials that pass the gate at the trial's
-association tolerance in one stacked solver call, then scores each trial
-from its own table. A chunk is also the unit of work handed to a worker pool.
+Trials run as streams. A stream draws each trial's scene and measurements
+in turn and stacks the subproblem rows of its full-detection trials; every
+CHUNK_ROWS stacked rows it gates them in one pass at each trial's
+association tolerance, and once CHUNK_ROWS rows survive it solves them in
+one call and scores each trial drawn so far from its own table. One worker
+runs all jobs as one stream; N workers run a few contiguous slices each.
 """
 
 from __future__ import annotations
@@ -33,11 +34,24 @@ from .scene import Bounds, Scene, random_scene, scene_to_dict, true_distance
 
 CORRECT_MATCH_RADIUS_M = 1e-3
 
-# Solver rows stacked into one call. 256 rows amortize most of the per-call
-# overhead and leave the process's peak memory where one-trial calls left it;
-# 512 rows cost about 0.5 MiB more and 1024 rows over 1 MiB more, for
-# 1.2-1.9x more speed.
+# Solver rows stacked into one call. A stream solves once this many rows
+# survive the gate, so every call but a stream's last holds at least
+# CHUNK_ROWS rows (unless MAX_STACKED_ROWS binds first) and fewer than
+# 2 * CHUNK_ROWS + K^M. At 256 rows the mc-accuracy benchmark peaks at
+# 39.8 MiB RSS, against 39.6 MiB when calls held 256 rows before the gate;
+# 512 rows cost about 1 MiB more and 1024 rows about 1.8 MiB, for 1.2-1.6x
+# more speed (2-core x86, Python 3.11, numpy 2.4).
 CHUNK_ROWS = 256
+
+# Most subproblem rows, gated or not, a stream stacks before it solves. It
+# binds only where few rows survive the gate, such as many BSs and few
+# targets: uniqueness runs at K=2, M=10 peak near 43 MiB against 40 MiB with
+# one trial per call.
+MAX_STACKED_ROWS = 1 << 14
+
+# Contiguous job slices per worker: more than one, so that a worker that
+# drew cheap slices takes another.
+STREAMS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -152,6 +166,7 @@ def measure_distances(
     targets = scene.targets
     detected = np.zeros((len(stations), len(targets)), dtype=bool)
     step = range_resolution(noise.bandwidth_hz) if noise.quantize_to_resolution else None
+    gate_params = [replace(link, rcs_dbsm=target.rcs_dbsm) for target in targets]
 
     profiles = []
     origins = []
@@ -161,9 +176,8 @@ def measure_distances(
         sources: list[int] = []
         for k, target in enumerate(targets):
             d_true = true_distance(bs.position, target.position)
-            gate_params = replace(link, rcs_dbsm=target.rcs_dbsm)
             # Zero distance (target at the BS) is trivially inside coverage.
-            if d_true > 0.0 and not covered(gate_params, snr_min_db, d_true):
+            if d_true > 0.0 and not covered(gate_params[k], snr_min_db, d_true):
                 continue
             detected[m, k] = True
             d = d_true + rng.normal(0.0, noise.range_sigma_m)
@@ -279,45 +293,50 @@ def _accuracy_record(spec: ExperimentSpec, trial: int, trial_seed: int, scene: S
     return record
 
 
-def _run_chunk(args: tuple) -> list[dict]:
-    """Records of one chunk of (noise, trial, trial seed) jobs.
+def _run_stream(args: tuple) -> list[dict]:
+    """Records of one stream of (noise, trial, trial seed) jobs, in job order.
 
-    Phase 1 draws each trial's scene and measurements and validates its
-    association problem; phase 2 gates every full-detection trial's
-    subproblem rows at its association tolerance and solves the survivors in
-    one stacked call; phase 3 scores each trial from its own table with
-    ``make_record``.
+    Each trial's scene and measurements are drawn in turn, and a
+    full-detection trial stacks its subproblem rows at its association
+    tolerance. Every CHUNK_ROWS stacked rows are gated in one pass; once
+    CHUNK_ROWS rows survive, they are solved in one call and the trials
+    drawn so far are scored from their own tables with ``make_record``.
     """
     make_record, spec, jobs = args
-    batch = SubproblemBatch()
-    drawn = []
+    records: list[dict] = []
+    batch, drawn = SubproblemBatch(), []
+
+    def score() -> None:
+        tables = iter(batch.solve())
+        records.extend(make_record(spec, *d, next(tables) if d[-1].full_detection else None)
+                       for d in drawn)
+
     for noise, trial, trial_seed in jobs:
         scene = _trial_scene(spec, trial_seed)
         ms = measure_distances(scene, spec.link, spec.snr_min_db, noise, trial_seed)
-        if ms.full_detection:
-            batch.add(ms.profiles, scene.bs_positions(),
-                      _association_tol(spec.feas_tol_m, noise.effective_sigma_m(),
-                                       len(ms.profiles)))
         drawn.append((trial, trial_seed, scene, noise, ms))
-    tables = iter(batch.solve())
-    return [make_record(spec, *d, next(tables) if d[-1].full_detection else None)
-            for d in drawn]
+        if not ms.full_detection:
+            continue
+        batch.add(ms.profiles, scene.bs_positions(),
+                  _association_tol(spec.feas_tol_m, noise.effective_sigma_m(), len(ms.profiles)))
+        if batch.ungated_rows >= CHUNK_ROWS:
+            batch.gate()
+        if batch.survivors >= CHUNK_ROWS or batch.stacked_rows >= MAX_STACKED_ROWS:
+            score()
+            batch, drawn = SubproblemBatch(), []
+    score()
+    return records
 
 
 def _run_trials(make_record, spec: ExperimentSpec, jobs: list, workers: int) -> list[dict]:
-    """Run jobs in chunks of at most CHUNK_ROWS solver rows, in job order."""
-    if spec.scene is not None:
-        n_targets, n_anchors = len(spec.scene.targets), len(spec.scene.base_stations)
-    else:
-        n_targets, n_anchors = spec.random_plan.num_targets, spec.random_plan.num_bs
-    size = max(1, CHUNK_ROWS // max(1, n_targets ** n_anchors))
-    chunks = [(make_record, spec, jobs[i:i + size]) for i in range(0, len(jobs), size)]
-    if workers <= 1 or len(chunks) <= 1:
-        results = [_run_chunk(chunk) for chunk in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_chunk, chunks))
-    return [record for chunk in results for record in chunk]
+    """Run jobs as one stream, or as STREAMS_PER_WORKER contiguous slices per worker."""
+    streams = min(len(jobs), workers * STREAMS_PER_WORKER) if workers > 1 else 1
+    if streams <= 1:
+        return _run_stream((make_record, spec, jobs))
+    size = -(-len(jobs) // streams)
+    slices = [(make_record, spec, jobs[i:i + size]) for i in range(0, len(jobs), size)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [record for records in pool.map(_run_stream, slices) for record in records]
 
 
 def uniqueness_aggregates(records: Sequence[dict]) -> dict:

@@ -6,8 +6,8 @@ least-squares solution of the squared-range equations. The batch variant
 solves many independent range problems, each row against its own anchor
 set and in its own centred, scaled frame: the data-association search
 solves every distance-index combination of a problem at once, and the
-experiment harness stacks those rows for a whole chunk of trials into one
-call. Rows never interact, so a row's result is bitwise the same in any
+experiment harness stacks the rows of many trials that survive the
+association gate into one call. Rows never interact, so a row's result is bitwise the same in any
 batch.
 """
 

@@ -595,6 +595,38 @@ class TestDeterminismAndConfig:
         assert out_env == out_explicit
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_env_seed_read_on_every_call(self, capsys, tmp_path, monkeypatch):
+        def ghosts_csv(name, *flags):
+            path = tmp_path / f"{name}.csv"
+            code, _, _ = run_cli(capsys, ["ghosts", "--trials", "4", "--out", str(path), *flags])
+            assert code == 0
+            return path.read_bytes()
+
+        from_env = {}
+        for seed in ("31", "32"):
+            monkeypatch.setenv("NETSENSE_SEED", seed)
+            from_env[seed] = ghosts_csv(f"env{seed}")
+        monkeypatch.setenv("NETSENSE_SEED", "abc")
+        code, _, err = run_cli(capsys, ["ghosts", "--trials", "4"])
+        assert code == 2 and "NETSENSE_SEED" in err
+        monkeypatch.delenv("NETSENSE_SEED")
+        assert from_env["31"] != from_env["32"]
+        for seed, csv_bytes in from_env.items():
+            assert csv_bytes == ghosts_csv(f"flag{seed}", "--seed", seed)
+
+    def test_list_defaults_survive_runs(self, capsys, tmp_path):
+        def list_defaults():
+            return {(command, key): list(action.default)
+                    for command, actions in cli._option_actions().items()
+                    for key, action in actions.items() if isinstance(action.default, list)}
+
+        before = list_defaults()
+        assert before  # --bounds of ghosts and montecarlo
+        for args in (["ghosts", "--trials", "2", "--out", str(tmp_path / "g.csv")],
+                     ["montecarlo", "--trials", "2", "--out", str(tmp_path / "r.json")]):
+            assert run_cli(capsys, args)[0] == 0
+        assert list_defaults() == before
+
 
 class TestGoldenReports:
     """Report bytes pinned for fixed seeds; any change to them must be deliberate."""

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from netsense import harness
+from netsense import association, harness
 from netsense.harness import (
     ExperimentSpec,
     NoiseModel,
@@ -215,16 +215,83 @@ class TestAccuracyExperiment:
         assert NoiseModel(0.1).effective_sigma_m() == 0.1
 
 
+class SolverLog:
+    """Rows of each solver call, split into stacked batch solves and the rest.
+
+    The rest are the fill-in solves of gated rows that a search at a looser
+    tolerance than the gate's makes. ``levels`` holds, per batch solve, the
+    gate tolerance of each table it returned.
+    """
+
+    def __init__(self, monkeypatch):
+        self.stacked, self.other, self.tables, self.levels = [], [], [], []
+        self._in_batch = False
+        solve_rows, batch_solve = association.solve_ranges_batch, association.SubproblemBatch.solve
+
+        def counting_solver(anchors, ranges):
+            (self.stacked if self._in_batch else self.other).append(len(ranges))
+            return solve_rows(anchors, ranges)
+
+        def logged_solve(batch):
+            self._in_batch = True
+            try:
+                tables = batch_solve(batch)
+            finally:
+                self._in_batch = False
+            self.tables.extend(tables)
+            self.levels.append([t.gate_tol for t in tables])
+            return tables
+
+        monkeypatch.setattr(association, "solve_ranges_batch", counting_solver)
+        monkeypatch.setattr(association.SubproblemBatch, "solve", logged_solve)
+
+
 class TestChunking:
-    @pytest.mark.parametrize("cap", [1, 81, 100_000])
+    PLAN = RandomScenePlan(num_bs=4, num_targets=3, bounds=Bounds(-150, -150, 150, 150))
+    SPEC = ExperimentSpec(random_plan=PLAN, trials=12, seed=21, feas_tol_m=1e-4)
+
+    @pytest.mark.parametrize("cap", [1, 81, 200, 100_000])
     def test_reports_independent_of_row_cap(self, monkeypatch, cap):
-        plan = RandomScenePlan(num_bs=4, num_targets=3, bounds=Bounds(-150, -150, 150, 150))
-        spec = ExperimentSpec(random_plan=plan, trials=12, seed=21, feas_tol_m=1e-4)
-        unique = run_uniqueness_experiment(spec).to_dict()
-        accuracy = run_accuracy_experiment(spec, [0.0, 0.5]).to_dict()
+        unique = run_uniqueness_experiment(self.SPEC).to_dict()
+        accuracy = run_accuracy_experiment(self.SPEC, [0.0, 0.5]).to_dict()
         monkeypatch.setattr(harness, "CHUNK_ROWS", cap)
-        assert run_uniqueness_experiment(spec).to_dict() == unique
-        assert run_accuracy_experiment(spec, [0.0, 0.5]).to_dict() == accuracy
+        assert run_uniqueness_experiment(self.SPEC).to_dict() == unique
+        assert run_accuracy_experiment(self.SPEC, [0.0, 0.5]).to_dict() == accuracy
+
+    def test_cap_flushes_inside_a_sigma_level(self, monkeypatch):
+        accuracy = run_accuracy_experiment(self.SPEC, [0.0, 0.5]).to_dict()
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 200)
+        log = SolverLog(monkeypatch)
+        assert run_accuracy_experiment(self.SPEC, [0.0, 0.5]).to_dict() == accuracy
+        levels = [tols for tols in log.levels if tols]
+        # Some solve ends inside the level that the next one continues.
+        assert any(done[-1] == after[0] for done, after in zip(levels, levels[1:]))
+
+    def test_workers_under_a_row_cap(self, monkeypatch):
+        unique = run_uniqueness_experiment(self.SPEC).to_dict()
+        accuracy = run_accuracy_experiment(self.SPEC, [0.0, 0.5]).to_dict()
+        monkeypatch.setattr(harness, "CHUNK_ROWS", 81)
+        assert run_uniqueness_experiment(self.SPEC, workers=2).to_dict() == unique
+        assert run_accuracy_experiment(self.SPEC, [0.0, 0.5], workers=2).to_dict() == accuracy
+
+    def test_every_solve_but_the_last_is_full(self, monkeypatch):
+        log = SolverLog(monkeypatch)
+        spec = ExperimentSpec(random_plan=self.PLAN, trials=40, seed=22, feas_tol_m=1e-4)
+        run_accuracy_experiment(spec, [0.0, 0.1, 0.5, 1.0])
+        cap, rows = harness.CHUNK_ROWS, 3 ** 4
+        assert len(log.stacked) > 2
+        assert all(n >= cap for n in log.stacked[:-1])
+        # A solve follows the gate that lifts survivors to the cap, and a gate
+        # follows the trial that lifts ungated rows to it.
+        assert max(log.stacked) < 2 * cap + rows
+        assert sum(t.solved_rows for t in log.tables) == sum(log.stacked) + sum(log.other)
+
+    def test_stacked_row_bound_flushes_early(self, monkeypatch):
+        unique = run_uniqueness_experiment(self.SPEC).to_dict()
+        monkeypatch.setattr(harness, "MAX_STACKED_ROWS", 2 * 3 ** 4)
+        log = SolverLog(monkeypatch)
+        assert run_uniqueness_experiment(self.SPEC).to_dict() == unique
+        assert max(len(tols) for tols in log.levels) == 2
 
     def test_partial_trials_inside_a_chunk(self):
         # Far targets go undetected: a chunk mixes partial and solved trials.

@@ -268,22 +268,22 @@ class SubproblemBatch:
             return []
         self.gate()
         anchors = np.stack(self._anchors)  # (P, M, 2)
-        problem = np.repeat(np.arange(len(anchors)), [len(r) for r in self._rows])
-        rows = np.concatenate(self._rows)
         solved = np.concatenate(self._admissible)
+        parts = [slice(stop - len(own), stop) for own, stop in
+                 zip(self._rows, itertools.accumulate(len(own) for own in self._rows))]
+        # Only the survivors are copied: a stream may stack many more rows.
+        survivors = [own[solved[part]] for own, part in zip(self._rows, parts)]
+        problem = np.repeat(np.arange(len(anchors)), [len(rows) for rows in survivors])
         keep = np.flatnonzero(solved)
-        columns = (np.full((len(rows), 2), np.nan), np.full(len(rows), np.inf),
-                   np.zeros(len(rows), bool), np.zeros(len(rows), int))
-        for column, values in zip(columns, solve_ranges_batch(anchors[problem[keep]], rows[keep])):
+        columns = (np.full((len(solved), 2), np.nan), np.full(len(solved), np.inf),
+                   np.zeros(len(solved), bool), np.zeros(len(solved), int))
+        for column, values in zip(columns, solve_ranges_batch(anchors[problem],
+                                                              np.concatenate(survivors))):
             column[keep] = values
-        tables, start = [], 0
-        for (n_targets, n_anchors), anchors_xy, tol, own in zip(self._shapes, anchors,
-                                                                self._tols, self._rows):
-            part = slice(start, start + len(own))
-            tables.append(_SubproblemTable(n_targets, n_anchors, anchors_xy, rows[part], tol,
-                                           solved[part], *(c[part] for c in columns)))
-            start = part.stop
-        return tables
+        return [_SubproblemTable(n_targets, n_anchors, anchors_xy, own, tol, solved[part],
+                                 *(c[part] for c in columns))
+                for (n_targets, n_anchors), anchors_xy, tol, own, part
+                in zip(self._shapes, anchors, self._tols, self._rows, parts)]
 
 
 def subproblem_table(profiles: Sequence[DistanceProfile], anchors,

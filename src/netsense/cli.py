@@ -162,10 +162,9 @@ def _add_link_flags(parser: argparse.ArgumentParser) -> None:
                    help="sensing SNR threshold [dB]")
 
 
-def build_parser(seed: int | None = None) -> argparse.ArgumentParser:
-    """The command-line parser; ``seed`` is the --seed default (see ``_default_seed``)."""
-    if seed is None:
-        seed = _default_seed()
+def build_parser() -> argparse.ArgumentParser:
+    """A new command-line parser; its --seed defaults are NETSENSE_SEED as read now."""
+    seed = _default_seed()
     parser = argparse.ArgumentParser(
         prog="netsense",
         description="Networked device-free sensing simulator and analysis toolkit.",
@@ -243,16 +242,31 @@ def build_parser(seed: int | None = None) -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's parser, built once; ``parse_and_dispatch`` sets its --seed defaults."""
-    return build_parser(DEFAULT_SEED)
+def _built() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]],
+                      tuple[argparse.Action, ...]]:
+    """The process's parser, each subcommand's actions by option key (dest), and
+    its --seed actions; built once, on a call of ``_parser`` that has just read
+    NETSENSE_SEED."""
+    parser = build_parser()
+    sub_action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {name: {a.dest: a for a in sp._actions if a.dest != "help"}
+               for name, sp in sub_action.choices.items()}
+    return parser, actions, tuple(a["seed"] for a in actions.values() if "seed" in a)
+
+
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The process's parser and its actions, with every --seed default set to
+    NETSENSE_SEED as read now; raises UsageError if it is not an integer."""
+    seed = _default_seed()
+    parser, actions, seed_actions = _built()
+    for action in seed_actions:
+        action.default = seed
+    return parser, actions
 
 
 def _option_actions() -> dict[str, dict[str, argparse.Action]]:
     """Each subcommand's argparse actions by option key (dest)."""
-    sub_action = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: {a.dest: a for a in sp._actions if a.dest != "help"}
-            for name, sp in sub_action.choices.items()}
+    return _parser()[1]
 
 
 def allowed_options() -> dict[str, set[str]]:
@@ -669,15 +683,12 @@ def dispatch_config(cfg: RunConfig) -> int:
 def parse_and_dispatch(argv: Sequence[str] | None = None) -> int:
     """Parse argv, route to the subcommand, and return the exit code."""
     try:
-        seed = _default_seed()
+        parser, _ = _parser()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for actions in _option_actions().values():
-        if "seed" in actions:
-            actions["seed"].default = seed
     try:
-        namespace = _parser().parse_args(argv if argv is not None else sys.argv[1:])
+        namespace = parser.parse_args(argv if argv is not None else sys.argv[1:])
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

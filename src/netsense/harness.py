@@ -9,7 +9,8 @@ in turn and stacks the subproblem rows of its full-detection trials; every
 CHUNK_ROWS stacked rows it gates them in one pass at each trial's
 association tolerance, and once CHUNK_ROWS rows survive it solves them in
 one call and scores each trial drawn so far from its own table. One worker
-runs all jobs as one stream; N workers run a few contiguous slices each.
+runs all jobs as one stream; N workers run one contiguous slice each, unless
+every job's rows fit in one call's CHUNK_ROWS, when the run stays in-process.
 """
 
 from __future__ import annotations
@@ -38,20 +39,18 @@ CORRECT_MATCH_RADIUS_M = 1e-3
 # survive the gate, so every call but a stream's last holds at least
 # CHUNK_ROWS rows (unless MAX_STACKED_ROWS binds first) and fewer than
 # 2 * CHUNK_ROWS + K^M. At 256 rows the mc-accuracy benchmark peaks at
-# 39.8 MiB RSS, against 39.6 MiB when calls held 256 rows before the gate;
-# 512 rows cost about 1 MiB more and 1024 rows about 1.8 MiB, for 1.2-1.6x
-# more speed (2-core x86, Python 3.11, numpy 2.4).
+# 40.3 MiB RSS (median of 10 runs), against 40.5 MiB when calls held 256
+# rows before the gate; 512 rows cost about 1 MiB more and 1024 rows about
+# 1.8 MiB, for 1.2-1.6x more speed (2-core x86, Python 3.11, numpy 2.4).
 CHUNK_ROWS = 256
 
 # Most subproblem rows, gated or not, a stream stacks before it solves. It
 # binds only where few rows survive the gate, such as many BSs and few
-# targets: uniqueness runs at K=2, M=10 peak near 43 MiB against 40 MiB with
-# one trial per call.
-MAX_STACKED_ROWS = 1 << 14
-
-# Contiguous job slices per worker: more than one, so that a worker that
-# drew cheap slices takes another.
-STREAMS_PER_WORKER = 4
+# targets. Measured on `montecarlo --num-bs 12 --num-targets 2 --trials 200
+# --seed 1729` (K^M = 4096 rows per trial, about 1% surviving), median peak
+# RSS of 3 in-process runs: 40.7 MiB with one trial per call; 40.6 at 2^13
+# stacked rows, 41.8 at 2^14 and 47.7 unbounded.
+MAX_STACKED_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -329,11 +328,15 @@ def _run_stream(args: tuple) -> list[dict]:
 
 
 def _run_trials(make_record, spec: ExperimentSpec, jobs: list, workers: int) -> list[dict]:
-    """Run jobs as one stream, or as STREAMS_PER_WORKER contiguous slices per worker."""
-    streams = min(len(jobs), workers * STREAMS_PER_WORKER) if workers > 1 else 1
-    if streams <= 1:
+    """Run jobs as one stream in-process, or as one contiguous slice per worker."""
+    if spec.scene is not None:
+        n_targets, n_anchors = len(spec.scene.targets), len(spec.scene.base_stations)
+    else:
+        n_targets, n_anchors = spec.random_plan.num_targets, spec.random_plan.num_bs
+    # A pool costs more than it saves on jobs that one solver call could hold.
+    if workers <= 1 or len(jobs) <= max(1, CHUNK_ROWS // max(1, n_targets ** n_anchors)):
         return _run_stream((make_record, spec, jobs))
-    size = -(-len(jobs) // streams)
+    size = -(-len(jobs) // workers)
     slices = [(make_record, spec, jobs[i:i + size]) for i in range(0, len(jobs), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [record for records in pool.map(_run_stream, slices) for record in records]

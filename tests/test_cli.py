@@ -530,6 +530,14 @@ class TestDeterminismAndConfig:
         with pytest.raises(ValueError):
             RunConfig.from_json(json.dumps({"command": "warp", "options": {}}))
 
+    def test_run_config_rejects_non_integer_env_seed(self, capsys, monkeypatch):
+        cfg = RunConfig(command="ghosts", options=self.parsed_options(["ghosts", "--trials", "2"]))
+        monkeypatch.setenv("NETSENSE_SEED", "abc")
+        assert dispatch_config(cfg) == 1
+        assert "NETSENSE_SEED" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="NETSENSE_SEED"):
+            allowed_options()
+
     @staticmethod
     def parsed_options(args):
         ns = build_parser().parse_args(args)

@@ -274,6 +274,17 @@ class TestChunking:
         assert run_uniqueness_experiment(self.SPEC, workers=2).to_dict() == unique
         assert run_accuracy_experiment(self.SPEC, [0.0, 0.5], workers=2).to_dict() == accuracy
 
+    def test_small_runs_skip_the_pool(self, monkeypatch):
+        # 3 trials x 81 rows fit one solver call, so workers=2 starts no pool.
+        spec = ExperimentSpec(random_plan=self.PLAN, trials=3, seed=21, feas_tol_m=1e-4)
+        unique = run_uniqueness_experiment(spec).to_dict()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        assert run_uniqueness_experiment(spec, workers=2).to_dict() == unique
+
     def test_every_solve_but_the_last_is_full(self, monkeypatch):
         log = SolverLog(monkeypatch)
         spec = ExperimentSpec(random_plan=self.PLAN, trials=40, seed=22, feas_tol_m=1e-4)

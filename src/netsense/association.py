@@ -13,12 +13,12 @@ a pairwise triangle test at the feasibility tolerance proves them
 infeasible without solving them; only the survivors are trilaterated
 (the gating step of multi-target tracking: Blackman and Popoli, *Design and
 Analysis of Modern Tracking Systems*, 1999). Gated rows hold rms +inf, and a
-search at a looser tolerance than the gate's, such as the search for the
-best max residual when nothing is feasible, first solves them in one call.
-``SubproblemBatch`` stacks the survivors of many problems into a single
-solver call. Enumeration and branch-and-bound are then one depth-first
-search over the table's residuals, which fills target slots in order and
-never builds the hypotheses it rules out.
+table never changes once solved: it refuses a search at a looser tolerance
+than its gate's. The best max residual reported when nothing is feasible
+comes from a fresh, ungated table. ``SubproblemBatch`` stacks the survivors
+of many problems into a single solver call. Enumeration and branch-and-bound
+are then one depth-first search over the table's residuals, which fills
+target slots in order and never builds the hypotheses it rules out.
 """
 
 from __future__ import annotations
@@ -171,37 +171,24 @@ class _SubproblemTable:
     whose anchor-wise indices are the base-K digits of ``flat``, anchor 1
     most significant.
 
-    Rows the pairwise gate ruled out at ``gate_tol`` are left unsolved and
-    hold rms +inf; ``ungate`` solves them before a search at a looser
-    tolerance. ``solved_rows`` counts rows given to the solver so far and
-    ``gated_rows`` the rows the gate ruled out when the table was built.
+    Rows the pairwise gate ruled out at ``gate_tol`` were never solved and
+    hold rms +inf; ``solved`` marks the others, and ``results`` holds the
+    solver's four columns for them, in row order. ``solved_rows`` and
+    ``gated_rows`` count the two kinds.
     """
 
-    def __init__(self, n_targets: int, n_anchors: int, anchors_xy: np.ndarray,
-                 ranges: np.ndarray, gate_tol: float, solved: np.ndarray,
-                 positions: np.ndarray, rms: np.ndarray, converged: np.ndarray,
-                 iterations: np.ndarray):
+    def __init__(self, n_targets: int, n_anchors: int, gate_tol: float, solved: np.ndarray,
+                 results: Sequence[np.ndarray]):
         self.k = n_targets
         self.m = n_anchors
-        self.anchors_xy, self.ranges = anchors_xy, ranges
         self.gate_tol, self.solved = gate_tol, solved
-        self.positions, self.rms = positions, rms
-        self.converged, self.iterations = converged, iterations
+        self.positions, self.rms, self.converged, self.iterations = columns = (
+            np.full((len(solved), 2), np.nan), np.full(len(solved), np.inf),
+            np.zeros(len(solved), bool), np.zeros(len(solved), int))
+        for column, values in zip(columns, results):
+            column[solved] = values
         self.solved_rows = int(np.count_nonzero(solved))
         self.gated_rows = len(solved) - self.solved_rows
-
-    def ungate(self, tol: float) -> None:
-        """Solve the gated rows in one call if ``tol`` is looser than the gate's."""
-        if tol <= self.gate_tol or self.solved_rows == len(self.solved):
-            return
-        rows = np.flatnonzero(~self.solved)
-        results = solve_ranges_batch(self.anchors_xy, self.ranges[rows])
-        for column, values in zip((self.positions, self.rms, self.converged, self.iterations),
-                                  results):
-            column[rows] = values
-        self.solved[rows] = True
-        self.solved_rows += len(rows)
-        self.gate_tol = math.inf
 
     def estimate(self, flat: int) -> PositionEstimate:
         return PositionEstimate(
@@ -216,24 +203,24 @@ class SubproblemBatch:
     """Subproblem rows of several association problems, solved in one call.
 
     ``add`` validates one problem and stacks its K^M rows with that
-    problem's anchors and feasibility tolerance; ``gate`` tests every row
-    not yet gated by the pairwise triangle test at its problem's tolerance,
-    in one pass, and counts the ``survivors``; ``solve`` gates what is left,
-    runs every survivor through a single ``solve_ranges_batch`` call, and
-    returns one table per added problem, in order. ``ungated_rows`` counts
-    the rows stacked since the last gate. Every solved row's result is
-    bitwise what a separate call would give. All problems in a batch need
-    the same anchor count M.
+    problem's anchors and feasibility tolerance, counting them in
+    ``ungated_rows``; ``gate`` tests every row stacked since the last gate
+    by the pairwise triangle test at its problem's tolerance, in one pass,
+    keeps only the ``survivors`` and frees the rest; ``solve`` gates what is
+    left, runs every survivor through a single ``solve_ranges_batch`` call,
+    and returns one table per added problem, in order. Every solved row's
+    result is bitwise what a separate call would give. All problems in a
+    batch need the same anchor count M.
     """
 
     def __init__(self):
         self._shapes: list[tuple[int, int]] = []
         self._anchors: list[np.ndarray] = []
-        self._rows: list[np.ndarray] = []
         self._tols: list[float] = []
-        self._admissible: list[np.ndarray] = []  # one per gate, in row order
-        self._gated = 0  # problems gated so far
-        self.stacked_rows = self.ungated_rows = self.survivors = 0
+        self._dense: list[np.ndarray] = []  # K^M rows of each problem not yet gated
+        self._solved: list[np.ndarray] = []  # admissible mask of each gated problem
+        self._kept: list[np.ndarray] = []  # surviving rows of each gate, in problem order
+        self.ungated_rows = self.survivors = 0
 
     def add(self, profiles: Sequence[DistanceProfile], anchors, tol: float = math.inf) -> None:
         """Stack one problem's rows; ``tol`` = inf gates nothing."""
@@ -244,46 +231,36 @@ class SubproblemBatch:
         combos = np.indices((n_targets,) * n_anchors).reshape(n_anchors, -1).T  # (K^M, M)
         dists = [np.array(p.distances, float) for p in profiles]
         self._shapes.append((n_targets, n_anchors))
-        self._rows.append(np.stack([dists[m][combos[:, m]] for m in range(n_anchors)], axis=1))
+        self._dense.append(np.stack([dists[m][combos[:, m]] for m in range(n_anchors)], axis=1))
         self._anchors.append(anchors_xy)
         self._tols.append(tol)
-        self.stacked_rows += len(combos)
         self.ungated_rows += len(combos)
 
     def gate(self) -> None:
         """Gate the rows of every problem added since the last gate, in one pass."""
-        start, self._gated = self._gated, len(self._rows)
-        if start == self._gated:
+        if not self._dense:
             return
-        own = self._rows[start:]
-        problem = np.repeat(np.arange(len(own)), [len(r) for r in own])
-        admissible = _pairwise_admissible(np.concatenate(own), np.stack(self._anchors[start:]),
-                                          problem, np.array(self._tols[start:]))
-        self._admissible.append(admissible)
-        self.survivors += int(np.count_nonzero(admissible))
-        self.ungated_rows = 0
+        start = len(self._solved)
+        sizes = [len(rows) for rows in self._dense]
+        rows = np.concatenate(self._dense)
+        admissible = _pairwise_admissible(rows, np.stack(self._anchors[start:]),
+                                          np.repeat(np.arange(len(sizes)), sizes),
+                                          np.array(self._tols[start:]))
+        self._solved.extend(np.split(admissible, np.cumsum(sizes)[:-1]))
+        self._kept.append(rows[admissible])
+        self.survivors += len(self._kept[-1])
+        self._dense, self.ungated_rows = [], 0
 
     def solve(self) -> list[_SubproblemTable]:
-        if not self._rows:
+        if not self._shapes:
             return []
         self.gate()
-        anchors = np.stack(self._anchors)  # (P, M, 2)
-        solved = np.concatenate(self._admissible)
-        parts = [slice(stop - len(own), stop) for own, stop in
-                 zip(self._rows, itertools.accumulate(len(own) for own in self._rows))]
-        # Only the survivors are copied: a stream may stack many more rows.
-        survivors = [own[solved[part]] for own, part in zip(self._rows, parts)]
-        problem = np.repeat(np.arange(len(anchors)), [len(rows) for rows in survivors])
-        keep = np.flatnonzero(solved)
-        columns = (np.full((len(solved), 2), np.nan), np.full(len(solved), np.inf),
-                   np.zeros(len(solved), bool), np.zeros(len(solved), int))
-        for column, values in zip(columns, solve_ranges_batch(anchors[problem],
-                                                              np.concatenate(survivors))):
-            column[keep] = values
-        return [_SubproblemTable(n_targets, n_anchors, anchors_xy, own, tol, solved[part],
-                                 *(c[part] for c in columns))
-                for (n_targets, n_anchors), anchors_xy, tol, own, part
-                in zip(self._shapes, anchors, self._tols, self._rows, parts)]
+        counts = [int(np.count_nonzero(solved)) for solved in self._solved]
+        problem = np.repeat(np.arange(len(counts)), counts)
+        results = solve_ranges_batch(np.stack(self._anchors)[problem], np.concatenate(self._kept))
+        per_problem = zip(*(np.split(values, np.cumsum(counts)[:-1]) for values in results))
+        return [_SubproblemTable(*shape, tol, solved, own) for shape, tol, solved, own
+                in zip(self._shapes, self._tols, self._solved, per_problem)]
 
 
 def subproblem_table(profiles: Sequence[DistanceProfile], anchors,
@@ -315,11 +292,13 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> list[tuple]:
     returned. With ``best`` true a branch is cut once its partial max
     residual exceeds the best complete one by more than RESIDUAL_TIE_EPS_M,
     and exactly the hypotheses within that band of the optimum are returned.
-    Each result is (max_residual_m, assignment, flat row per slot). Rows
-    the table's gate left unsolved are solved first when ``tol`` is looser
-    than the gate's.
+    Each result is (max_residual_m, assignment, flat row per slot). Raises
+    ValueError when ``tol`` is looser than the table's gate, which left rows
+    unsolved that such a search would need.
     """
-    table.ungate(tol)
+    if tol > table.gate_tol:
+        raise ValueError(f"a search at tol {tol} needs rows that the table's gate at tol "
+                         f"{table.gate_tol} left unsolved")
     k, m = table.k, table.m
     per_slot = k ** (m - 1)
     rms = table.rms.reshape(k, per_slot)  # row s: anchor-1 index s
@@ -364,8 +343,9 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> list[tuple]:
     return found
 
 
-def _best_max_residual(table: _SubproblemTable) -> float:
-    """Smallest max slot residual over all hypotheses: the search with no tolerance."""
+def _best_max_residual(profiles: Sequence[DistanceProfile], anchors) -> float:
+    """Smallest max slot residual over all hypotheses, searched on a fresh ungated table."""
+    table = subproblem_table(profiles, anchors)
     _hypothesis_count(table.k, table.m)
     return min(f[0] for f in _search(table, math.inf, best=True))
 
@@ -388,11 +368,13 @@ def enumerate_feasible(
     Raises ValueError above MAX_HYPOTHESES hypotheses.
 
     When given, ``stats`` receives bookkeeping: hypotheses_examined and
-    best_max_residual_m over the whole search space, and the table's
-    solved_rows and gated_rows. ``table`` is the subproblem table of these
-    profiles and anchors, already validated and solved (see
-    ``SubproblemBatch``); without it the table is built here, gated at
-    ``feas_tol_m``.
+    best_max_residual_m over the whole search space, the table's gated_rows,
+    and solved_rows, the rows given to the solver: the table's, plus K^M
+    when nothing is feasible and the best max residual needs every row.
+    ``table`` is the subproblem table of these profiles and anchors, already
+    validated and solved (see ``SubproblemBatch``) and gated at no tighter a
+    tolerance than ``feas_tol_m``; without it the table is built here, gated
+    at ``feas_tol_m``.
     """
     if table is None:
         table = subproblem_table(profiles, anchors, feas_tol_m)
@@ -414,8 +396,8 @@ def enumerate_feasible(
     if stats is not None:
         stats["hypotheses_examined"] = total
         # A hypothesis below the best solution's max residual would be feasible too.
-        stats["best_max_residual_m"] = best if solutions else _best_max_residual(table)
-        stats["solved_rows"] = table.solved_rows
+        stats["best_max_residual_m"] = best if solutions else _best_max_residual(profiles, anchors)
+        stats["solved_rows"] = table.solved_rows + (0 if solutions else len(table.rms))
         stats["gated_rows"] = table.gated_rows
     return solutions
 
@@ -460,14 +442,15 @@ def solve_association_bnb(
     tie-break by lexicographic hypothesis order picks exactly what the
     exhaustive search picks. When nothing is feasible, the
     InfeasibleAssociationError carries the exact best max residual, from the
-    same search with no tolerance, which is subject to MAX_HYPOTHESES.
+    same search with no tolerance over a fresh, ungated table, which is
+    subject to MAX_HYPOTHESES.
     ``table`` is as in ``enumerate_feasible``.
     """
     if table is None:
         table = subproblem_table(profiles, anchors, feas_tol_m)
     tied = _search(table, feas_tol_m, best=True)
     if not tied:
-        raise _infeasible(feas_tol_m, _best_max_residual(table))
+        raise _infeasible(feas_tol_m, _best_max_residual(profiles, anchors))
 
     # Pruning left exactly the solutions within the tie band of the best.
     _, assignment, flats = min(tied, key=lambda t: t[1])

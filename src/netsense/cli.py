@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--num-bs", type=int, default=3)
-    p.add_argument("--num-targets", type=int, default=2)
+    p.add_argument("--num-targets", type=_positive_int, default=2)
     p.add_argument("--bounds", type=_finite_float, nargs=4, default=[-150.0, -150.0, 150.0, 150.0],
                    metavar=("XMIN", "YMIN", "XMAX", "YMAX"))
     p.add_argument("--tol", type=_positive_float, default=1e-4, help="feasibility tolerance [m]")
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated range sigmas [m] (accuracy mode)")
     p.add_argument("--scene", default=None, help="fixed scene JSON (default: random per trial)")
     p.add_argument("--num-bs", type=int, default=3)
-    p.add_argument("--num-targets", type=int, default=2)
+    p.add_argument("--num-targets", type=_positive_int, default=2)
     p.add_argument("--bounds", type=_finite_float, nargs=4, default=[-150.0, -150.0, 150.0, 150.0],
                    metavar=("XMIN", "YMIN", "XMAX", "YMAX"))
     p.add_argument("--tol", type=_positive_float, default=1e-4, help="feasibility tolerance [m]")

@@ -7,15 +7,18 @@ or worker count.
 Trials run as streams. A stream draws each trial's scene and measurements
 in turn and stacks the subproblem rows of its full-detection trials; every
 CHUNK_ROWS stacked rows it gates them in one pass at each trial's
-association tolerance, and once CHUNK_ROWS rows survive it solves them in
-one call and scores each trial drawn so far from its own table. One worker
-runs all jobs as one stream; N workers run one contiguous slice each, unless
-every job's rows fit in one call's CHUNK_ROWS, when the run stays in-process.
+association tolerance and keeps only the survivors, and once CHUNK_ROWS
+rows survive it solves them in one call and scores each trial drawn so far
+from its own table, so it never holds more than CHUNK_ROWS + K^M ungated
+rows. One worker runs all jobs as one stream; N workers, at most one per
+CPU, run one contiguous slice each, unless every job's rows fit in one
+call's CHUNK_ROWS, when the run stays in-process.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
@@ -35,22 +38,14 @@ from .scene import Bounds, Scene, random_scene, scene_to_dict, true_distance
 
 CORRECT_MATCH_RADIUS_M = 1e-3
 
-# Solver rows stacked into one call. A stream solves once this many rows
-# survive the gate, so every call but a stream's last holds at least
-# CHUNK_ROWS rows (unless MAX_STACKED_ROWS binds first) and fewer than
+# Solver rows stacked into one call, and ungated rows stacked into one gate.
+# A stream solves once this many rows survive the gate, so every call but a
+# stream's last holds at least CHUNK_ROWS rows and fewer than
 # 2 * CHUNK_ROWS + K^M. At 256 rows the mc-accuracy benchmark peaks at
 # 40.3 MiB RSS (median of 10 runs), against 40.5 MiB when calls held 256
 # rows before the gate; 512 rows cost about 1 MiB more and 1024 rows about
 # 1.8 MiB, for 1.2-1.6x more speed (2-core x86, Python 3.11, numpy 2.4).
 CHUNK_ROWS = 256
-
-# Most subproblem rows, gated or not, a stream stacks before it solves. It
-# binds only where few rows survive the gate, such as many BSs and few
-# targets. Measured on `montecarlo --num-bs 12 --num-targets 2 --trials 200
-# --seed 1729` (K^M = 4096 rows per trial, about 1% surviving), median peak
-# RSS of 3 in-process runs: 40.7 MiB with one trial per call; 40.6 at 2^13
-# stacked rows, 41.8 at 2^14 and 47.7 unbounded.
-MAX_STACKED_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -297,9 +292,10 @@ def _run_stream(args: tuple) -> list[dict]:
 
     Each trial's scene and measurements are drawn in turn, and a
     full-detection trial stacks its subproblem rows at its association
-    tolerance. Every CHUNK_ROWS stacked rows are gated in one pass; once
-    CHUNK_ROWS rows survive, they are solved in one call and the trials
-    drawn so far are scored from their own tables with ``make_record``.
+    tolerance. Every CHUNK_ROWS stacked rows are gated in one pass, which
+    frees all but the survivors; once CHUNK_ROWS rows survive, they are
+    solved in one call and the trials drawn so far are scored from their own
+    tables with ``make_record``.
     """
     make_record, spec, jobs = args
     records: list[dict] = []
@@ -320,7 +316,7 @@ def _run_stream(args: tuple) -> list[dict]:
                   _association_tol(spec.feas_tol_m, noise.effective_sigma_m(), len(ms.profiles)))
         if batch.ungated_rows >= CHUNK_ROWS:
             batch.gate()
-        if batch.survivors >= CHUNK_ROWS or batch.stacked_rows >= MAX_STACKED_ROWS:
+        if batch.survivors >= CHUNK_ROWS:
             score()
             batch, drawn = SubproblemBatch(), []
     score()
@@ -333,12 +329,13 @@ def _run_trials(make_record, spec: ExperimentSpec, jobs: list, workers: int) -> 
         n_targets, n_anchors = len(spec.scene.targets), len(spec.scene.base_stations)
     else:
         n_targets, n_anchors = spec.random_plan.num_targets, spec.random_plan.num_bs
+    workers = min(workers, os.cpu_count() or 1)  # the pool forks all its workers at once
     # A pool costs more than it saves on jobs that one solver call could hold.
     if workers <= 1 or len(jobs) <= max(1, CHUNK_ROWS // max(1, n_targets ** n_anchors)):
         return _run_stream((make_record, spec, jobs))
     size = -(-len(jobs) // workers)
     slices = [(make_record, spec, jobs[i:i + size]) for i in range(0, len(jobs), size)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(slices)) as pool:
         return [record for records in pool.map(_run_stream, slices) for record in records]
 
 

@@ -329,8 +329,9 @@ def check_against_brute_force(profiles, anchors, tol, table):
         h[:2] for h in feasible]
     for s, (_, _, flats) in zip(solutions, feasible):
         assert s.estimates == tuple(table.estimate(f) for f in flats)
+    # With nothing feasible, the best max residual solves a fresh table's rows too.
     assert stats == {"hypotheses_examined": len(oracle), "best_max_residual_m": best,
-                     "solved_rows": len(table.rms), "gated_rows": 0}
+                     "solved_rows": len(table.rms) * (1 if feasible else 2), "gated_rows": 0}
 
     if not feasible:
         for solve in (solve_association, solve_association_bnb):
@@ -431,7 +432,8 @@ class TestPairwiseGate:
         solutions = enumerate_feasible(profiles, anchors, tol, stats=stats)
         assert solutions == enumerate_feasible(profiles, anchors, tol, stats=dense_stats,
                                                table=dense)
-        solved_rows = k ** m if not solutions else k ** m - gated.gated_rows
+        solved_rows = k ** m - gated.gated_rows + (0 if solutions else k ** m)
+        assert dense_stats["solved_rows"] == k ** m * (1 if solutions else 2)
         assert stats == {**dense_stats, "solved_rows": solved_rows,
                          "gated_rows": gated.gated_rows}
         check_against_brute_force(profiles, anchors, tol, dense)
@@ -454,7 +456,9 @@ class TestPairwiseGate:
         stats = {}
         assert enumerate_feasible(profiles, anchors, 1e-12, stats=stats) == []
         assert stats["best_max_residual_m"] == best
-        assert stats["solved_rows"] == 3 ** 4 and stats["gated_rows"] > 0
+        # The gated table's survivors, then every row of the fresh table.
+        assert stats["solved_rows"] == 2 * 3 ** 4 - stats["gated_rows"]
+        assert stats["gated_rows"] > 0
         for solve in (solve_association, solve_association_bnb):
             with pytest.raises(InfeasibleAssociationError) as err:
                 solve(profiles, anchors, 1e-12)
@@ -471,18 +475,17 @@ class TestPairwiseGate:
         assert stats["best_max_residual_m"] == DenseTable(profiles, EXAMPLE_BS_XY).rms[0]
         assert (stats["solved_rows"], stats["gated_rows"]) == (1, 1)
 
-    def test_looser_search_solves_gated_rows(self):
+    def test_looser_search_is_refused(self):
         profiles, anchors = noisy_problem(12, 3, 4, 0.0)
         table = subproblem_table(profiles, anchors, 1e-6)
-        gated = table.gated_rows
+        gated, rms = table.gated_rows, table.rms.copy()
         assert gated > 0 and table.solved_rows == 3 ** 4 - gated
-        enumerate_feasible(profiles, anchors, 1e-6, table=table)
-        assert table.solved_rows == 3 ** 4 - gated  # nothing looser asked for
-        enumerate_feasible(profiles, anchors, 1.0, table=table)
-        assert table.solved_rows == 3 ** 4 and table.gated_rows == gated
-        oracle = DenseTable(profiles, anchors)
-        assert np.array_equal(table.rms, oracle.rms)
-        assert np.array_equal(table.positions, oracle.positions)
+        assert enumerate_feasible(profiles, anchors, 1e-6, table=table)
+        for search in (enumerate_feasible, solve_association_bnb):
+            with pytest.raises(ValueError, match=r"tol 1\.0 .* gate at tol 1e-06"):
+                search(profiles, anchors, 1.0, table=table)
+        assert (table.solved_rows, table.gated_rows) == (3 ** 4 - gated, gated)
+        assert np.array_equal(table.rms, rms)
 
 
 class TestFeasibleCountInvariance:

@@ -91,6 +91,8 @@ class TestUsage:
         (["coverage", "--pt-watts", "nan"], "--pt-watts"),
         (["coverage", "--snr-min-db", "inf"], "--snr-min-db"),
         (["associate", "--scene", "SCENE", "--match-radius", "-1"], "--match-radius"),
+        (["ghosts", "--num-targets", "0"], "--num-targets"),
+        (["montecarlo", "--num-targets", "0"], "--num-targets"),
     ])
     def test_bad_float_flag_is_usage_error(self, capsys, tmp_path, scenes_dir, argv, flag):
         argv = [str(scenes_dir / "example1.json") if a == "SCENE" else a for a in argv]
@@ -554,6 +556,8 @@ class TestDeterminismAndConfig:
         (["montecarlo"], "quantize", "yes", "quantize='yes': expected true or false"),
         (["associate", "--scene", "s.json"], "match_radius", -1.0,
          "match_radius=-1.0: must be nonnegative"),
+        (["montecarlo"], "num_targets", 0, "num_targets=0: must be at least 1"),
+        (["ghosts"], "num_targets", 0, "num_targets=0: must be at least 1"),
     ])
     def test_run_config_checks_values_like_the_flags(self, capsys, args, key, value, message):
         options = {**self.parsed_options(args), key: value}

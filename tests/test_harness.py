@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -150,6 +151,32 @@ class TestUniquenessExperiment:
         report = run_uniqueness_experiment(spec)
         assert uniqueness_aggregates(report.records) == report.aggregates
 
+    @pytest.mark.parametrize("cpus, pool_sizes", [(2, [2]), (None, [])])
+    def test_workers_clamped_to_cpu_count(self, monkeypatch, cpus, pool_sizes):
+        # 40 trials x 8 rows exceed one solver call, so more than one worker
+        # would start a pool; the fake pool only records its size. An
+        # unknown CPU count means one CPU, so the run stays in-process.
+        spec = ExperimentSpec(random_plan=PLAN, trials=40, seed=77, feas_tol_m=1e-4)
+        sequential = run_uniqueness_experiment(spec).to_dict()
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        assert run_uniqueness_experiment(spec, workers=10**6).to_dict() == sequential
+        assert sizes == pool_sizes
+
     def test_determinism_across_workers(self):
         spec = ExperimentSpec(random_plan=PLAN, trials=16, seed=77, feas_tol_m=1e-4)
         sequential = run_uniqueness_experiment(spec, workers=1)
@@ -218,9 +245,9 @@ class TestAccuracyExperiment:
 class SolverLog:
     """Rows of each solver call, split into stacked batch solves and the rest.
 
-    The rest are the fill-in solves of gated rows that a search at a looser
-    tolerance than the gate's makes. ``levels`` holds, per batch solve, the
-    gate tolerance of each table it returned.
+    The rest would be solver calls outside a batch solve; the harness makes
+    none. ``levels`` holds, per batch solve, the gate tolerance of each
+    table it returned.
     """
 
     def __init__(self, monkeypatch):
@@ -295,14 +322,36 @@ class TestChunking:
         # A solve follows the gate that lifts survivors to the cap, and a gate
         # follows the trial that lifts ungated rows to it.
         assert max(log.stacked) < 2 * cap + rows
-        assert sum(t.solved_rows for t in log.tables) == sum(log.stacked) + sum(log.other)
+        assert log.other == []
+        assert sum(t.solved_rows for t in log.tables) == sum(log.stacked)
 
-    def test_stacked_row_bound_flushes_early(self, monkeypatch):
-        unique = run_uniqueness_experiment(self.SPEC).to_dict()
-        monkeypatch.setattr(harness, "MAX_STACKED_ROWS", 2 * 3 ** 4)
-        log = SolverLog(monkeypatch)
-        assert run_uniqueness_experiment(self.SPEC).to_dict() == unique
-        assert max(len(tols) for tols in log.levels) == 2
+    def test_gate_frees_dense_rows(self, monkeypatch):
+        # K=2, M=10: 1,024 rows per trial, of which about 2% survive, so a
+        # batch that kept every gated trial's dense rows until its solve
+        # would hold about fifteen trials' rows at once.
+        plan = RandomScenePlan(num_bs=10, num_targets=2, bounds=Bounds(-150, -150, 150, 150))
+        spec = ExperimentSpec(random_plan=plan, trials=30, seed=21, feas_tol_m=1e-4)
+
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                report = run_uniqueness_experiment(spec).to_dict()
+                return tracemalloc.get_traced_memory()[1], report
+            finally:
+                tracemalloc.stop()
+
+        run_uniqueness_experiment(spec)  # imports and caches stay out of the peaks
+        freed, report = traced_peak()
+        gate = association.SubproblemBatch.gate
+
+        def keeping_gate(batch):
+            batch.__dict__.setdefault("held", []).append(batch._dense)
+            gate(batch)
+
+        monkeypatch.setattr(association.SubproblemBatch, "gate", keeping_gate)
+        kept, kept_report = traced_peak()
+        assert kept_report == report
+        assert freed < kept / 2
 
     def test_partial_trials_inside_a_chunk(self):
         # Far targets go undetected: a chunk mixes partial and solved trials.

@@ -9,10 +9,13 @@ residual at or below the feasibility tolerance.
 A target slot's residual depends only on the distance index chosen at each
 anchor, so every solver works on one shared subproblem table over all K^M
 index combinations. Most combinations mix ranges of different targets, and
-a pairwise triangle test at the feasibility tolerance proves them
-infeasible without solving them; only the survivors are trilaterated
-(the gating step of multi-target tracking: Blackman and Popoli, *Design and
-Analysis of Modern Tracking Systems*, 1999). Gated rows hold rms +inf, and a
+two tests at the feasibility tolerance prove them infeasible without
+solving them: a triangle inequality at every anchor pair, then, for the
+rows that pass it, a bound on where the annuli of every anchor triple can
+meet. Only the survivors are trilaterated (the gating step of multi-target
+tracking: Blackman and Popoli, *Design and Analysis of Modern Tracking
+Systems*, 1999); on exact ranges they are about the true rows alone.
+Gated rows hold rms +inf, and a
 table never changes once solved: it refuses a search at a looser tolerance
 than its gate's. The best max residual reported when nothing is feasible
 comes from a fresh, ungated table. ``SubproblemBatch`` stacks the survivors
@@ -126,39 +129,159 @@ def _check_inputs(profiles: Sequence[DistanceProfile], anchors_xy: np.ndarray) -
     return n_targets, n_anchors
 
 
-# Relative allowance for rounding in the pairwise gate, in units of the
-# magnitudes the test compares. A target on the line through two BSs meets
-# one of its triangle inequalities with equality, so without this allowance
-# the gate could drop the true row by one ulp at a tiny tolerance.
+# Relative allowance for rounding in the gate, in units of the magnitudes
+# its tests compare. A target on the line through two BSs meets one of its
+# triangle inequalities with equality, so without this allowance the gate
+# could drop the true row by one ulp at a tiny tolerance.
 GATE_ROUNDING = 16 * np.finfo(float).eps
 
+# Largest length ratio the triple test computes with: rows whose lengths
+# exceed TRIPLE_RANGE times min(1, D), for D the closest anchor pair, or
+# whose D is below 1 / TRIPLE_RANGE, are admitted untested, so no square or
+# square over D in the test overflows or leaves the normal range.
+TRIPLE_RANGE = 2.0 ** 470
 
-def _pairwise_admissible(ranges: np.ndarray, anchors: np.ndarray, problem: np.ndarray,
-                         tol: np.ndarray) -> np.ndarray:
+# Most row-triple elements one pass of the triple test computes with, beyond
+# its M - 2 triples per row, so its temporaries stay O(rows (M - 2)).
+TRIPLE_BLOCK = 1 << 12
+
+
+def _gate(ranges: np.ndarray, anchors: np.ndarray, problem: np.ndarray,
+          tol: np.ndarray) -> np.ndarray:
     """Rows that can trilaterate with rms at most their tolerance.
 
     ``ranges`` is (N, M), one row per distance index combination;
     ``anchors`` (P, M, 2) and ``tol`` (P,) are the problems' anchors and
     tolerances, and ``problem`` (N,) says which problem each row belongs to.
-    A row with rms <= tol has r_i^2 + r_j^2 <= M tol^2 at every anchor pair,
-    so |r_i| + |r_j| <= sqrt(2M) tol, and the triangle inequality through
-    the solution gives |d_i - d_j| <= |a_i - a_j| + sqrt(2M) tol and
-    d_i + d_j >= |a_i - a_j| - sqrt(2M) tol. A row failing either test at
-    any pair can never be feasible. The slack also allows GATE_ROUNDING of
-    every magnitude the solver's rms and this test round at, including the
-    anchor extent of the solver's centred frame.
+    Every row must pass the pairwise test, and the rows that pass it must
+    pass the triple test; a row failing either can never be feasible. Rows
+    where the triple test is vacuous skip it: when a row's slack is at least
+    the anchor extent and every one of its distances, the anchor mean lies
+    in all its annuli (so every row at tol = inf passes). So do rows whose
+    lengths could overflow or underflow the test's squares.
     """
     n_anchors = ranges.shape[1]
     offsets = anchors - anchors.mean(axis=1, keepdims=True)
     extent = np.hypot(offsets[:, :, 0], offsets[:, :, 1]).max(axis=1)
-    tol_slack = math.sqrt(2 * n_anchors) * tol
-    slack = (tol_slack + GATE_ROUNDING * (extent + tol_slack))[problem]
+    spreads = {pair: np.hypot(*(anchors[:, pair[0]] - anchors[:, pair[1]]).T)
+               for pair in itertools.combinations(range(n_anchors), 2)}
+    with np.errstate(over="ignore"):  # a huge tolerance saturates to an inf slack
+        pair_slack, slack = ((s + GATE_ROUNDING * (extent + s))[problem] for s in (
+            math.sqrt(2 * n_anchors) * tol, math.sqrt(n_anchors) * tol))
+    admissible = _pairwise_admissible(ranges, spreads, problem, pair_slack)
+    closest = np.min(list(spreads.values()), axis=0)
+    reach = np.maximum(extent[problem], ranges.max(axis=1))
+    tested = admissible & (slack < reach) & (closest[problem] >= 1 / TRIPLE_RANGE) & (
+        reach <= TRIPLE_RANGE * np.minimum(closest, 1.0)[problem])
+    rows = np.flatnonzero(tested)
+    admissible[rows] = _triple_admissible(ranges[rows], anchors, problem[rows], slack[rows])
+    return admissible
+
+
+def _pairwise_admissible(ranges: np.ndarray, spreads: dict, problem: np.ndarray,
+                         slack: np.ndarray) -> np.ndarray:
+    """Rows that pass the triangle inequality at every anchor pair.
+
+    A row with rms <= tol has r_i^2 + r_j^2 <= M tol^2 at every anchor pair,
+    so |r_i| + |r_j| <= sqrt(2M) tol, and the triangle inequality through
+    the solution gives |d_i - d_j| <= |a_i - a_j| + sqrt(2M) tol and
+    d_i + d_j >= |a_i - a_j| - sqrt(2M) tol. ``spreads`` maps each anchor
+    pair to the problems' |a_i - a_j|, and ``slack`` (N,) is each row's
+    sqrt(2M) tol plus GATE_ROUNDING of every magnitude the solver's rms and
+    this test round at, including the anchor extent of the solver's centred
+    frame.
+    """
     admissible = np.ones(len(ranges), bool)
-    for i, j in itertools.combinations(range(n_anchors), 2):
-        spread = np.hypot(*(anchors[:, i] - anchors[:, j]).T)[problem]
+    for (i, j), spread in spreads.items():
+        spread = spread[problem]
         di, dj = ranges[:, i], ranges[:, j]
         pair_slack = slack + GATE_ROUNDING * (di + dj + spread)
         admissible &= (np.abs(di - dj) <= spread + pair_slack) & (di + dj >= spread - pair_slack)
+    return admissible
+
+
+def _triple_admissible(ranges: np.ndarray, anchors: np.ndarray, problem: np.ndarray,
+                       slack: np.ndarray) -> np.ndarray:
+    """Rows whose every anchor triple leaves room for a target within tolerance.
+
+    A row with rms <= tol has |r_m| <= sqrt(M) tol at every anchor, so its
+    target lies in the annulus [lo_m, hi_m] = [d_m - s, d_m + s] around
+    every a_m, where ``slack`` s (N,) is sqrt(M) tol plus the pairwise
+    test's allowance for the solver's rounding (its extent and tolerance
+    terms; each radius also gets GATE_ROUNDING d_m). For a triple i < j < k, take
+    the frame with origin a_i and x-axis toward a_j, at distance D. A point
+    at distances rho_i, rho_j from a_i, a_j has
+    x = (rho_i^2 - rho_j^2 + D^2) / 2D, which grows with rho_i and falls with
+    rho_j, and y^2 = rho_i^2 - x^2 = rho_j^2 - (x - D)^2. So the annuli of
+    a_i and a_j meet inside the box [x_lo, x_hi] x [y_lo, y_hi] and its
+    mirror image in the x-axis: x from the extreme radii, clipped to
+    |x| <= hi_i and |x - D| <= hi_j, and |y| from both annuli over that x
+    range. A row is gated when the box is empty, or when neither box's
+    distance range to a_k meets [lo_k, hi_k]. Each triple is tested once,
+    with base pair (i, j). The anchors' rotated coordinates are computed
+    once per problem; triples are tested in passes of at least M - 2, and
+    of more while the rows times the triples stay within TRIPLE_BLOCK, and
+    a row gated by one pass is not tested by the next.
+
+    Rounding: in a triple every length below is at most
+    L = hi_i + hi_j + hi_k + D + |a_k - a_i| (up to its own widening), every
+    square at most L^2, and x at most L^2 / D before clipping. Each bound
+    takes a few roundings of such terms and of inputs that are themselves
+    within a few ulps, so it is off by fewer than 16 ulps of its magnitude
+    (x, the worst, by about 9); widening every length by
+    E = GATE_ROUNDING (L + L^2 / D) and every square by GATE_ROUNDING L^2
+    keeps each bound on its safe side. The caller admits untested the rows
+    whose lengths could overflow or leave the normal range.
+    """
+    n_anchors = ranges.shape[1]
+    pad = slack[:, None] + GATE_ROUNDING * ranges
+    lo, hi = np.maximum(ranges - pad, 0.0), ranges + pad
+    triples = np.array(list(itertools.combinations(range(n_anchors), 3)))
+    base = anchors[:, triples[:, 1]] - anchors[:, triples[:, 0]]
+    rel = anchors[:, triples[:, 2]] - anchors[:, triples[:, 0]]
+    span = np.hypot(base[..., 0], base[..., 1])
+    unit = base / span[..., None]
+    geometry = np.stack([  # D, a_k in the frame, and |a_k - a_i| of every problem's triples
+        span, rel[..., 0] * unit[..., 0] + rel[..., 1] * unit[..., 1],
+        rel[..., 1] * unit[..., 0] - rel[..., 0] * unit[..., 1], np.hypot(rel[..., 0], rel[..., 1])])
+
+    rows, done = np.arange(len(ranges)), 0
+    while done < len(triples) and len(rows):
+        cols = slice(done, done + max(n_anchors - 2, TRIPLE_BLOCK // len(rows)))
+        done = cols.stop
+        d, u, v, r = geometry[:, problem[rows], cols]
+        lo_i, lo_j, lo_k = (lo[rows][:, triples[cols, c]] for c in range(3))
+        hi_i, hi_j, hi_k = (hi[rows][:, triples[cols, c]] for c in range(3))
+        size = hi_i + hi_j + hi_k + d + r
+        err = GATE_ROUNDING * (size + size * (size / d))
+        sq_err = GATE_ROUNDING * size * size
+        x_lo = np.maximum(np.maximum((lo_i * lo_i - hi_j * hi_j + d * d) / (2 * d), -hi_i),
+                          d - hi_j) - err
+        x_hi = np.minimum(np.minimum((hi_i * hi_i - lo_j * lo_j + d * d) / (2 * d), hi_i),
+                          d + hi_j) + err
+        # Nearest and farthest |x| and |x - D| over [x_lo, x_hi].
+        near_i = np.maximum(np.maximum(x_lo, -x_hi), 0.0)
+        near_j = np.maximum(np.maximum(x_lo - d, d - x_hi), 0.0)
+        far_i = np.maximum(-x_lo, x_hi)
+        far_j = np.maximum(d - x_lo, x_hi - d)
+        y_hi_sq = np.minimum(hi_i * hi_i - near_i * near_i, hi_j * hi_j - near_j * near_j) + sq_err
+        y_lo_sq = np.maximum(lo_i * lo_i - far_i * far_i, lo_j * lo_j - far_j * far_j) - sq_err
+        box = (x_lo <= x_hi) & (y_hi_sq >= 0)
+        y_hi = np.sqrt(np.maximum(y_hi_sq, 0.0)) + err
+        y_lo = np.maximum(np.sqrt(np.maximum(y_lo_sq, 0.0)) - err, 0.0)
+
+        # Squared distance ranges from a_k to the box (v) and to its mirror image (-v).
+        x_gap = np.maximum(np.maximum(x_lo - u, u - x_hi), 0.0)
+        x_far = np.maximum(u - x_lo, x_hi - u)
+        side = np.stack([v, -v])
+        y_gap = np.maximum(np.maximum(y_lo - side, side - y_hi), 0.0)
+        y_far = np.maximum(side - y_lo, y_hi - side)
+        hi_k, lo_k = hi_k + err, np.maximum(lo_k - err, 0.0)
+        meets = ((x_gap * x_gap + y_gap * y_gap <= hi_k * hi_k + sq_err)
+                 & (x_far * x_far + y_far * y_far >= lo_k * lo_k - sq_err)).any(axis=0)
+        rows = rows[(box & meets).all(axis=1)]
+    admissible = np.zeros(len(ranges), bool)
+    admissible[rows] = True
     return admissible
 
 
@@ -171,10 +294,10 @@ class _SubproblemTable:
     whose anchor-wise indices are the base-K digits of ``flat``, anchor 1
     most significant.
 
-    Rows the pairwise gate ruled out at ``gate_tol`` were never solved and
-    hold rms +inf; ``solved`` marks the others, and ``results`` holds the
-    solver's four columns for them, in row order. ``solved_rows`` and
-    ``gated_rows`` count the two kinds.
+    Rows the gate ruled out at ``gate_tol``, by its pairwise or its triple
+    test, were never solved and hold rms +inf; ``solved`` marks the others,
+    and ``results`` holds the solver's four columns for them, in row order.
+    ``solved_rows`` and ``gated_rows`` count the two kinds.
     """
 
     def __init__(self, n_targets: int, n_anchors: int, gate_tol: float, solved: np.ndarray,
@@ -205,8 +328,9 @@ class SubproblemBatch:
     ``add`` validates one problem and stacks its K^M rows with that
     problem's anchors and feasibility tolerance, counting them in
     ``ungated_rows``; ``gate`` tests every row stacked since the last gate
-    by the pairwise triangle test at its problem's tolerance, in one pass,
-    keeps only the ``survivors`` and frees the rest; ``solve`` gates what is
+    at its problem's tolerance (the pairwise test, then the triple test on
+    the rows that pass it) in one pass, keeps only the ``survivors`` and
+    frees the rest; ``solve`` gates what is
     left, runs every survivor through a single ``solve_ranges_batch`` call,
     and returns one table per added problem, in order. Every solved row's
     result is bitwise what a separate call would give. All problems in a
@@ -243,9 +367,8 @@ class SubproblemBatch:
         start = len(self._solved)
         sizes = [len(rows) for rows in self._dense]
         rows = np.concatenate(self._dense)
-        admissible = _pairwise_admissible(rows, np.stack(self._anchors[start:]),
-                                          np.repeat(np.arange(len(sizes)), sizes),
-                                          np.array(self._tols[start:]))
+        admissible = _gate(rows, np.stack(self._anchors[start:]),
+                           np.repeat(np.arange(len(sizes)), sizes), np.array(self._tols[start:]))
         self._solved.extend(np.split(admissible, np.cumsum(sizes)[:-1]))
         self._kept.append(rows[admissible])
         self.survivors += len(self._kept[-1])

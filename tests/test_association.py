@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -486,6 +487,121 @@ class TestPairwiseGate:
                 search(profiles, anchors, 1.0, table=table)
         assert (table.solved_rows, table.gated_rows) == (3 ** 4 - gated, gated)
         assert np.array_equal(table.rms, rms)
+
+
+def assert_gate_sound(profiles, anchors, tol):
+    """No row the dense solve puts within ``tol`` is gated, and solved rows equal the oracle's."""
+    oracle = DenseTable(profiles, anchors)
+    gated = subproblem_table(profiles, anchors, tol)
+    assert not (oracle.rms[~gated.solved] <= tol).any()
+    for got, want in zip(TestPairwiseGate.columns(gated), TestPairwiseGate.columns(oracle)):
+        assert np.array_equal(got[gated.solved], want[gated.solved])
+    return oracle, gated
+
+
+def placed_problem(seed, k, m, spread, placement, noise):
+    """A random scene scaled to ``spread`` m, its first target placed as named, noisy ranges.
+
+    "segment" puts it on the segment bs1-bs2, where their circles are tangent;
+    "beyond" on the line through bs1 and bs2, past bs2; "far" moves every
+    target a thousand times farther from the origin than the anchors.
+    """
+    scene = random_scene(m, k, Bounds(-1, -1, 1, 1), seed=seed)
+    anchors, targets = scene.bs_positions() * spread, scene.target_positions() * spread
+    if placement == "segment":
+        targets[0] = anchors[0] + 0.375 * (anchors[1] - anchors[0])
+    elif placement == "beyond":
+        targets[0] = anchors[1] + 2.0 * (anchors[1] - anchors[0])
+    elif placement == "far":
+        targets = targets * 1e3
+    exact = np.linalg.norm(anchors[:, None, :] - targets[None, :, :], axis=2)
+    ranges = np.maximum(exact + np.random.default_rng(seed).normal(0, noise * spread, exact.shape),
+                        0.0)
+    return [DistanceProfile(f"bs{i+1}", tuple(ranges[i])) for i in range(m)], anchors
+
+
+class TestTripleGate:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3), m=st.integers(3, 5),
+           spread_exp=st.integers(-3, 7),
+           placement=st.sampled_from(["inside", "segment", "beyond", "far"]),
+           noise=st.sampled_from([0.0, 1e-9, 1e-4, 1e-2]),
+           tol_exp=st.floats(-12, 3), level=st.integers(-1, 10**6))
+    def test_sound_at_any_scale(self, seed, k, m, spread_exp, placement, noise, tol_exp, level):
+        # Anchor spreads from 1e-3 to 1e7 m; the tolerance is 10^tol_exp m
+        # (level -1) or one of the dense rows' rms values, so some row sits
+        # exactly at it.
+        assume(k ** m <= 243)
+        profiles, anchors = placed_problem(seed, k, m, 10.0 ** spread_exp, placement, noise)
+        oracle = DenseTable(profiles, anchors)
+        levels = sorted(set(oracle.rms.tolist()))
+        tol = 10.0 ** tol_exp if level < 0 else levels[level % len(levels)]
+        assert_gate_sound(profiles, anchors, tol)
+
+    @pytest.mark.parametrize("spread", [1e-3, 1.0, 1e3, 1e7])
+    @pytest.mark.parametrize("placement", ["segment", "beyond", "far"])
+    def test_true_rows_survive_at_their_own_rms(self, spread, placement):
+        # Exact ranges: the true rows' rms is rounding noise, and a tolerance
+        # at exactly that rms (or at 1e-12 m) must keep them.
+        profiles, anchors = placed_problem(7, 2, 4, spread, placement, 0.0)
+        truth = [sum(j * 2 ** (3 - a) for a in range(4)) for j in range(2)]
+        for tol in (1e-12, *DenseTable(profiles, anchors).rms[truth]):
+            assert_gate_sound(profiles, anchors, tol)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-3])
+    def test_collinear_targets_at_100_km(self, tol):
+        # Each target lies on the line through two BSs, 100 km out, so one
+        # pair's circles are tangent and the triple frame puts it at y = 0.
+        anchors = np.array([[0.0, 0.0], [1e4, 3e4], [1e4, 2e4], [-2e4, 1e4]])
+        targets = np.array([[3e4, 9e4], [1e4, -4e4]])
+        profiles = profiles_for(anchors, targets)
+        _, gated = assert_gate_sound(profiles, anchors, tol)
+        assert gated.solved_rows < len(gated.rms)
+        assert enumerate_feasible(profiles, anchors, tol) == enumerate_feasible(
+            profiles, anchors, tol, table=subproblem_table(profiles, anchors))
+
+    def test_exact_scene_solves_only_its_targets(self):
+        # K=4, M=5: the pairwise test alone leaves about 150 of the 1,024
+        # rows; the triple test leaves the 4 true rows, the only ones within
+        # tolerance.
+        scene = random_scene(5, 4, Bounds(-150, -150, 150, 150), seed=3)
+        profiles, anchors = exact_profiles(scene), scene.bs_positions()
+        table = subproblem_table(profiles, anchors, 1e-6)
+        assert table.solved_rows == 4
+        assert (DenseTable(profiles, anchors).rms <= 1e-6).sum() == 4
+
+    def test_infinite_tolerance_gates_nothing_in_a_mixed_batch(self):
+        problems = [noisy_problem(seed, 3, 4, 0.1) for seed in (1, 2, 3, 4, 5)]
+        tols = (math.inf, 1e-6, math.inf, 0.6, 1e300)
+        batch = SubproblemBatch()
+        for (profiles, anchors), tol in zip(problems, tols):
+            batch.add(profiles, anchors, tol)
+        for table, (profiles, anchors), tol in zip(batch.solve(), problems, tols):
+            single = subproblem_table(profiles, anchors, tol)
+            assert np.array_equal(table.solved, single.solved)
+            for got, want in zip(TestPairwiseGate.columns(table),
+                                 TestPairwiseGate.columns(single)):
+                assert np.array_equal(got, want, equal_nan=True)
+            assert table.solved.all() == (tol > 1e3)
+
+    @pytest.mark.parametrize("tol", [1e150, 1e300, 1.7e308, math.inf])
+    def test_huge_tolerance_admits_every_row_quietly(self, tol):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = subproblem_table(example1_profiles(), EXAMPLE_BS_XY, tol)
+        assert table.gated_rows == 0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e160, 1e300])
+    def test_extreme_lengths_are_admitted_untested(self, scale):
+        # Row 1 fails the pairwise test and row 2 only the triple test. Squares
+        # of lengths at the extreme scales leave the normal float range, so
+        # there the triple test admits row 2 without computing.
+        rows = np.array([[1.0, 5.0, 5.0], [1.0, 1.0, 1.0]]) * scale
+        anchors = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            admitted = association._gate(rows, anchors, np.zeros(2, int), np.array([1e-9 * scale]))
+        assert admitted.tolist() == [False, scale != 1.0]
 
 
 class TestFeasibleCountInvariance:

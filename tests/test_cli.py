@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
@@ -355,6 +356,21 @@ class TestAssociate:
         ])
         assert code == 0
         assert json.loads(out_path.read_text())["num_feasible"] == 2
+
+    @pytest.mark.parametrize("tol", ["1e150", "1e300"])
+    @pytest.mark.parametrize("solver", ["exhaustive", "bnb"])
+    def test_huge_tolerance_lists_every_hypothesis_quietly(self, capsys, scenes_dir, tol,
+                                                           solver):
+        # Every one of Example 1's (2!)^2 hypotheses is feasible, and the gate
+        # admits every row without arithmetic that could overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, [
+                "associate", "--scene", str(scenes_dir / "example1.json"), "--tol", tol,
+                "--solver", solver,
+            ])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["num_feasible"] == 4
 
     def test_hypothesis_cap_is_domain_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(association, "MAX_HYPOTHESES", 215)

@@ -14,14 +14,14 @@ solving them: a triangle inequality at every anchor pair, then, for the
 rows that pass it, a bound on where the annuli of every anchor triple can
 meet. Only the survivors are trilaterated (the gating step of multi-target
 tracking: Blackman and Popoli, *Design and Analysis of Modern Tracking
-Systems*, 1999); on exact ranges they are about the true rows alone.
-Gated rows hold rms +inf, and a
-table never changes once solved: it refuses a search at a looser tolerance
-than its gate's. The best max residual reported when nothing is feasible
-comes from a fresh, ungated table. ``SubproblemBatch`` stacks the survivors
-of many problems into a single solver call. Enumeration and branch-and-bound
-are then one depth-first search over the table's residuals, which fills
-target slots in order and never builds the hypotheses it rules out.
+Systems*, 1999); on exact ranges they are about the true rows alone. A
+table holds the survivors alone, with their row indices, and never changes
+once solved: it refuses a search at a looser tolerance than its gate's.
+The best max residual reported when nothing is feasible comes from a
+fresh, ungated table. ``SubproblemBatch`` stacks the survivors of many
+problems into a single solver call. Enumeration and branch-and-bound are
+then one depth-first search over the table's residuals, which fills target
+slots in order and never builds the hypotheses it rules out.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import GeometryError, InfeasibleAssociationError, UnequalCardinalityError
 from .link_budget import LinkBudgetParams
 from .localization import PositionEstimate, solve_ranges_batch
-from .scene import Bounds, Point2, Scene, points_are_collinear, true_distance
+from .scene import Bounds, Point2, Scene, collinear_triples, true_distance
 
 # Residuals within this band of the minimum are treated as ties and broken
 # by lexicographic hypothesis order, keeping runs reproducible when several
@@ -123,9 +123,9 @@ def _check_inputs(profiles: Sequence[DistanceProfile], anchors_xy: np.ndarray) -
             f"K={n_targets} targets at M={n_anchors} anchors give {rows:,} subproblem rows, "
             f"about {rows * n_anchors * SUBPROBLEM_BYTES_PER_ROW_ANCHOR:,} bytes to build "
             f"and solve; the table is capped at {MAX_SUBPROBLEM_ROWS:,} rows")
-    for triple in itertools.combinations(range(n_anchors), 3):
-        if points_are_collinear(anchors_xy[list(triple)]):
-            raise GeometryError(f"anchors {triple} are collinear")
+    triple = next(collinear_triples(anchors_xy), None)
+    if triple is not None:
+        raise GeometryError(f"anchors {triple} are collinear")
     return n_targets, n_anchors
 
 
@@ -286,39 +286,36 @@ def _triple_admissible(ranges: np.ndarray, anchors: np.ndarray, problem: np.ndar
 
 
 class _SubproblemTable:
-    """Trilateration results for every distance index combination.
+    """Trilateration results for the distance index combinations the gate kept.
 
     The residual of target slot k under a hypothesis depends only on the
-    chosen distance index at each anchor, so all K^M combinations are solved
-    once and shared by every hypothesis. Row ``flat`` holds the combination
-    whose anchor-wise indices are the base-K digits of ``flat``, anchor 1
-    most significant.
+    chosen distance index at each anchor, so each of the K^M combinations
+    is solved at most once and shared by every hypothesis. Combination
+    ``f`` is the one whose anchor-wise indices are the base-K digits of
+    ``f``, anchor 1 most significant.
 
-    Rows the gate ruled out at ``gate_tol``, by its pairwise or its triple
-    test, were never solved and hold rms +inf; ``solved`` marks the others,
-    and ``results`` holds the solver's four columns for them, in row order.
-    ``solved_rows`` and ``gated_rows`` count the two kinds.
+    ``flat`` holds, in ascending order, the combinations that passed the
+    gate at ``gate_tol`` (its pairwise and its triple test); row i of
+    ``positions``, ``rms``, ``converged`` and ``iterations`` is the
+    solver's result for ``flat[i]``. The others were never solved and have
+    no row. ``solved_rows`` and ``gated_rows`` count the two kinds.
     """
 
-    def __init__(self, n_targets: int, n_anchors: int, gate_tol: float, solved: np.ndarray,
+    def __init__(self, n_targets: int, n_anchors: int, gate_tol: float, flat: np.ndarray,
                  results: Sequence[np.ndarray]):
         self.k = n_targets
         self.m = n_anchors
-        self.gate_tol, self.solved = gate_tol, solved
-        self.positions, self.rms, self.converged, self.iterations = columns = (
-            np.full((len(solved), 2), np.nan), np.full(len(solved), np.inf),
-            np.zeros(len(solved), bool), np.zeros(len(solved), int))
-        for column, values in zip(columns, results):
-            column[solved] = values
-        self.solved_rows = int(np.count_nonzero(solved))
-        self.gated_rows = len(solved) - self.solved_rows
+        self.gate_tol, self.flat = gate_tol, flat
+        self.positions, self.rms, self.converged, self.iterations = results
+        self.solved_rows = len(flat)
+        self.gated_rows = n_targets ** n_anchors - self.solved_rows
 
-    def estimate(self, flat: int) -> PositionEstimate:
+    def estimate(self, row: int) -> PositionEstimate:
         return PositionEstimate(
-            position=Point2(float(self.positions[flat, 0]), float(self.positions[flat, 1])),
-            residual_rms_m=float(self.rms[flat]),
-            converged=bool(self.converged[flat]),
-            iterations=int(self.iterations[flat]),
+            position=Point2(float(self.positions[row, 0]), float(self.positions[row, 1])),
+            residual_rms_m=float(self.rms[row]),
+            converged=bool(self.converged[row]),
+            iterations=int(self.iterations[row]),
         )
 
 
@@ -330,9 +327,9 @@ class SubproblemBatch:
     ``ungated_rows``; ``gate`` tests every row stacked since the last gate
     at its problem's tolerance (the pairwise test, then the triple test on
     the rows that pass it) in one pass, keeps only the ``survivors`` and
-    frees the rest; ``solve`` gates what is
-    left, runs every survivor through a single ``solve_ranges_batch`` call,
-    and returns one table per added problem, in order. Every solved row's
+    their row indices, and frees the rest; ``solve`` gates what is left,
+    runs every survivor through a single ``solve_ranges_batch`` call, and
+    returns one table per added problem, in order. Every solved row's
     result is bitwise what a separate call would give. All problems in a
     batch need the same anchor count M.
     """
@@ -342,7 +339,7 @@ class SubproblemBatch:
         self._anchors: list[np.ndarray] = []
         self._tols: list[float] = []
         self._dense: list[np.ndarray] = []  # K^M rows of each problem not yet gated
-        self._solved: list[np.ndarray] = []  # admissible mask of each gated problem
+        self._flat: list[np.ndarray] = []  # admissible row indices of each gated problem
         self._kept: list[np.ndarray] = []  # surviving rows of each gate, in problem order
         self.ungated_rows = self.survivors = 0
 
@@ -364,12 +361,12 @@ class SubproblemBatch:
         """Gate the rows of every problem added since the last gate, in one pass."""
         if not self._dense:
             return
-        start = len(self._solved)
+        start = len(self._flat)
         sizes = [len(rows) for rows in self._dense]
         rows = np.concatenate(self._dense)
         admissible = _gate(rows, np.stack(self._anchors[start:]),
                            np.repeat(np.arange(len(sizes)), sizes), np.array(self._tols[start:]))
-        self._solved.extend(np.split(admissible, np.cumsum(sizes)[:-1]))
+        self._flat.extend(map(np.flatnonzero, np.split(admissible, np.cumsum(sizes)[:-1])))
         self._kept.append(rows[admissible])
         self.survivors += len(self._kept[-1])
         self._dense, self.ungated_rows = [], 0
@@ -378,12 +375,12 @@ class SubproblemBatch:
         if not self._shapes:
             return []
         self.gate()
-        counts = [int(np.count_nonzero(solved)) for solved in self._solved]
+        counts = [len(flat) for flat in self._flat]
         problem = np.repeat(np.arange(len(counts)), counts)
         results = solve_ranges_batch(np.stack(self._anchors)[problem], np.concatenate(self._kept))
         per_problem = zip(*(np.split(values, np.cumsum(counts)[:-1]) for values in results))
-        return [_SubproblemTable(*shape, tol, solved, own) for shape, tol, solved, own
-                in zip(self._shapes, self._tols, self._solved, per_problem)]
+        return [_SubproblemTable(*shape, tol, flat, own) for shape, tol, flat, own
+                in zip(self._shapes, self._tols, self._flat, per_problem)]
 
 
 def subproblem_table(profiles: Sequence[DistanceProfile], anchors,
@@ -409,29 +406,29 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> list[tuple]:
     """Depth-first search for hypotheses whose every slot meets ``tol``.
 
     Slot k's candidates are the table rows whose anchor-1 index is k and
-    whose residual is at most ``tol``, in ascending residual order (stable);
-    a candidate is taken only if none of its distance indices at anchors
-    2..M is used yet. With ``best`` false every complete hypothesis is
-    returned. With ``best`` true a branch is cut once its partial max
-    residual exceeds the best complete one by more than RESIDUAL_TIE_EPS_M,
-    and exactly the hypotheses within that band of the optimum are returned.
-    Each result is (max_residual_m, assignment, flat row per slot). Raises
-    ValueError when ``tol`` is looser than the table's gate, which left rows
-    unsolved that such a search would need.
+    whose residual is at most ``tol``, in ascending residual order, ties in
+    ascending ``flat`` order; a candidate is taken only if none of its
+    distance indices at anchors 2..M is used yet. With ``best`` false every
+    complete hypothesis is returned. With ``best`` true a branch is cut
+    once its partial max residual exceeds the best complete one by more
+    than RESIDUAL_TIE_EPS_M, and exactly the hypotheses within that band of
+    the optimum are returned. Each result is (max_residual_m, assignment,
+    table row per slot). Raises ValueError when ``tol`` is looser than the
+    table's gate, which left rows unsolved that such a search would need.
     """
     if tol > table.gate_tol:
         raise ValueError(f"a search at tol {tol} needs rows that the table's gate at tol "
                          f"{table.gate_tol} left unsolved")
     k, m = table.k, table.m
-    per_slot = k ** (m - 1)
-    rms = table.rms.reshape(k, per_slot)  # row s: anchor-1 index s
-    candidates = []
-    for s in range(k):
-        rows = np.flatnonzero(rms[s] <= tol)
-        rows = rows[np.argsort(rms[s, rows], kind="stable")]
-        combos = zip(*(a.tolist() for a in np.unravel_index(rows, (k,) * (m - 1))))
-        candidates.append([(combo, float(rms[s, i]), s * per_slot + i)
-                           for combo, i in zip(combos, rows.tolist())])
+    rows = np.flatnonzero(table.rms <= tol)
+    slots, rest = np.divmod(table.flat[rows], k ** (m - 1))
+    order = np.lexsort((table.rms[rows], slots))  # stable: ties keep ascending flat
+    rows, slots = rows[order], slots[order]
+    combos = zip(*(a.tolist() for a in np.unravel_index(rest[order], (k,) * (m - 1))))
+    candidates: list[list[tuple]] = [[] for _ in range(k)]
+    for s, combo, residual, row in zip(slots.tolist(), combos, table.rms[rows].tolist(),
+                                       rows.tolist()):
+        candidates[s].append((combo, residual, row))
 
     used = [[False] * k for _ in range(m - 1)]
     chosen: list[tuple[tuple[int, ...], int]] = []
@@ -443,12 +440,12 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> list[tuple]:
         if slot == k:
             assignment = (tuple(range(k)),) + tuple(
                 tuple(combo[a] for combo, _ in chosen) for a in range(m - 1))
-            found.append((partial_max, assignment, tuple(flat for _, flat in chosen)))
+            found.append((partial_max, assignment, tuple(row for _, row in chosen)))
             if best and partial_max < incumbent:
                 incumbent = partial_max
                 found[:] = [f for f in found if f[0] <= incumbent + RESIDUAL_TIE_EPS_M]
             return
-        for combo, residual, flat in candidates[slot]:
+        for combo, residual, row in candidates[slot]:
             new_max = max(partial_max, residual)
             if new_max > incumbent + RESIDUAL_TIE_EPS_M:
                 break  # candidates ascend, so every later one is cut too
@@ -456,7 +453,7 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> list[tuple]:
                 continue
             for a, j in enumerate(combo):
                 used[a][j] = True
-            chosen.append((combo, flat))
+            chosen.append((combo, row))
             dfs(slot + 1, new_max)
             chosen.pop()
             for a, j in enumerate(combo):
@@ -506,10 +503,10 @@ def enumerate_feasible(
     solutions = [
         AssociationSolution(
             hypothesis=AssociationHypothesis(assignment),
-            estimates=tuple(table.estimate(f) for f in flats),
+            estimates=tuple(table.estimate(row) for row in rows),
             max_residual_m=max_residual,
         )
-        for max_residual, assignment, flats in _search(table, feas_tol_m, best=False)
+        for max_residual, assignment, rows in _search(table, feas_tol_m, best=False)
     ]
     best = min((s.max_residual_m for s in solutions), default=math.inf)
     # Every tie sorts as if at the top of the band, so only the order breaks it.
@@ -520,7 +517,7 @@ def enumerate_feasible(
         stats["hypotheses_examined"] = total
         # A hypothesis below the best solution's max residual would be feasible too.
         stats["best_max_residual_m"] = best if solutions else _best_max_residual(profiles, anchors)
-        stats["solved_rows"] = table.solved_rows + (0 if solutions else len(table.rms))
+        stats["solved_rows"] = table.solved_rows + (0 if solutions else table.k ** table.m)
         stats["gated_rows"] = table.gated_rows
     return solutions
 
@@ -576,8 +573,8 @@ def solve_association_bnb(
         raise _infeasible(feas_tol_m, _best_max_residual(profiles, anchors))
 
     # Pruning left exactly the solutions within the tie band of the best.
-    _, assignment, flats = min(tied, key=lambda t: t[1])
-    estimates = tuple(table.estimate(f) for f in flats)
+    _, assignment, rows = min(tied, key=lambda t: t[1])
+    estimates = tuple(table.estimate(row) for row in rows)
     return AssociationSolution(
         hypothesis=AssociationHypothesis(assignment),
         estimates=estimates,

@@ -497,19 +497,12 @@ def _cmd_associate(opts: dict) -> None:
                 else association.exact_profiles(scn))
     anchors = scn.bs_positions()
 
-    # One solved subproblem table serves the enumeration and either solver.
-    table = association.subproblem_table(profiles, anchors, opts["tol"])
-    solutions = association.enumerate_feasible(profiles, anchors, opts["tol"], table=table)
+    # The enumeration lists the best solution first, which is what either solver picks.
+    solutions = association.enumerate_feasible(profiles, anchors, opts["tol"])
     truth = [t.position for t in scn.targets]
     ghost_report = association.build_ghost_report(
         solutions, ground_truth=truth, match_radius_m=opts["match_radius"]
     )
-    best = None
-    if solutions:
-        if opts["solver"] == "bnb":
-            best = association.solve_association_bnb(profiles, anchors, opts["tol"], table=table)
-        else:
-            best = solutions[0]
 
     payload = {
         "solver": opts["solver"],
@@ -517,7 +510,7 @@ def _cmd_associate(opts: dict) -> None:
         "unique": ghost_report.unique,
         "feasible_solutions": [_solution_dict(s) for s in ghost_report.feasible_solutions],
         "ghost_positions": [[p.x, p.y] for p in ghost_report.ghost_positions],
-        "best_solution": _solution_dict(best) if best is not None else None,
+        "best_solution": _solution_dict(solutions[0]) if solutions else None,
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if opts.get("out"):
@@ -622,14 +615,11 @@ def _cmd_montecarlo(opts: dict) -> None:
     )
     if not accuracy:
         report = harness.run_uniqueness_experiment(spec, workers=opts["workers"])
-        fieldnames = ["trial", "seed", "detected_pairs", "total_pairs", "partial",
-                      "feasible_count", "ghost", "correct_found", "rmse_m"]
         print(f"ghost_fraction,{report.aggregates['ghost_fraction']!r}")
         print(f"completed,{report.aggregates['completed']}")
         print(f"partial,{report.aggregates['partial']}")
     else:
         report = harness.run_accuracy_experiment(spec, sigmas, workers=opts["workers"])
-        fieldnames = ["sigma_m", "trial", "seed", "partial", "infeasible", "correct", "rmse_m"]
         for level in report.aggregates["levels"]:
             rmse = level["rmse_m"]
             print(f"sigma_m,{level['sigma_m']!r},correct_rate,{level['correct_rate']!r},"
@@ -637,6 +627,7 @@ def _cmd_montecarlo(opts: dict) -> None:
 
     emit_report(report.to_dict(), "json", opts["out"])
     trials_csv = opts.get("trials_csv") or str(Path(opts["out"]).with_suffix(".csv"))
+    fieldnames = list(report.records[0])
     rows = [[r[k] for k in fieldnames] for r in report.records]
     emit_report({"fieldnames": fieldnames, "rows": rows}, "csv", trials_csv)
     print(f"report,{opts['out']}")

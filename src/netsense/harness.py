@@ -232,8 +232,8 @@ def _score(solution: AssociationSolution, scene: Scene,
     return consistent, matched, rmse
 
 
-def _uniqueness_record(spec: ExperimentSpec, trial: int, trial_seed: int, scene: Scene,
-                       noise: NoiseModel, ms: MeasurementSet, table) -> dict:
+def _uniqueness_record(trial: int, trial_seed: int, scene: Scene, noise: NoiseModel,
+                       ms: MeasurementSet, table) -> dict:
     record = {
         "trial": trial,
         "seed": trial_seed,
@@ -248,7 +248,7 @@ def _uniqueness_record(spec: ExperimentSpec, trial: int, trial_seed: int, scene:
     if record["partial"]:
         return record
 
-    solutions = enumerate_feasible(ms.profiles, scene.bs_positions(), spec.feas_tol_m,
+    solutions = enumerate_feasible(ms.profiles, scene.bs_positions(), table.gate_tol,
                                    table=table)
     scores = [_score(s, scene, ms.origins) for s in solutions]
     correct = [rmse for _, matched, rmse in scores if matched]
@@ -261,8 +261,8 @@ def _uniqueness_record(spec: ExperimentSpec, trial: int, trial_seed: int, scene:
     return record
 
 
-def _accuracy_record(spec: ExperimentSpec, trial: int, trial_seed: int, scene: Scene,
-                     noise: NoiseModel, ms: MeasurementSet, table) -> dict:
+def _accuracy_record(trial: int, trial_seed: int, scene: Scene, noise: NoiseModel,
+                     ms: MeasurementSet, table) -> dict:
     record = {
         "sigma_m": noise.range_sigma_m,
         "trial": trial,
@@ -275,9 +275,9 @@ def _accuracy_record(spec: ExperimentSpec, trial: int, trial_seed: int, scene: S
     if record["partial"]:
         return record
 
-    tol = _association_tol(spec.feas_tol_m, noise.effective_sigma_m(), len(ms.profiles))
     try:
-        solution = solve_association_bnb(ms.profiles, scene.bs_positions(), tol, table=table)
+        solution = solve_association_bnb(ms.profiles, scene.bs_positions(), table.gate_tol,
+                                         table=table)
     except InfeasibleAssociationError:
         record.update(infeasible=True, correct=False)
         return record
@@ -295,7 +295,8 @@ def _run_stream(args: tuple) -> list[dict]:
     tolerance. Every CHUNK_ROWS stacked rows are gated in one pass, which
     frees all but the survivors; once CHUNK_ROWS rows survive, they are
     solved in one call and the trials drawn so far are scored from their own
-    tables with ``make_record``.
+    tables with ``make_record``, which searches each table at its
+    ``gate_tol``, the trial's association tolerance.
     """
     make_record, spec, jobs = args
     records: list[dict] = []
@@ -303,7 +304,7 @@ def _run_stream(args: tuple) -> list[dict]:
 
     def score() -> None:
         tables = iter(batch.solve())
-        records.extend(make_record(spec, *d, next(tables) if d[-1].full_detection else None)
+        records.extend(make_record(*d, next(tables) if d[-1].full_detection else None)
                        for d in drawn)
 
     for noise, trial, trial_seed in jobs:

@@ -108,27 +108,29 @@ def true_distance(a: Point2, b: Point2) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def triangle_area(p: Point2, q: Point2, r: Point2) -> float:
-    """Unsigned area of the triangle spanned by three points."""
-    return 0.5 * abs((q.x - p.x) * (r.y - p.y) - (r.x - p.x) * (q.y - p.y))
+def collinear_triples(points, tol: float = DEFAULT_COLLINEARITY_TOL):
+    """Index triples i < j < k of the (x, y) ``points`` that are collinear within ``tol``.
 
-
-def _triple_is_collinear(p: Point2, q: Point2, r: Point2, tol: float) -> bool:
-    # Area threshold is relative to the squared triangle diameter so the
-    # check is scale invariant.
-    scale = max(true_distance(p, q), true_distance(q, r), true_distance(p, r))
-    return triangle_area(p, q, r) < tol * scale * scale
+    Yields them lazily, in ``itertools.combinations`` order. A triple is
+    collinear when its triangle's area is below ``tol`` times its squared
+    diameter, so the test is scale invariant. Raises ValueError on a
+    non-finite coordinate.
+    """
+    pts = [Point2(float(x), float(y)) for x, y in points]
+    for i, j, k in itertools.combinations(range(len(pts)), 3):
+        p, q, r = pts[i], pts[j], pts[k]
+        scale = max(true_distance(p, q), true_distance(q, r), true_distance(p, r))
+        if 0.5 * abs((q.x - p.x) * (r.y - p.y) - (r.x - p.x) * (q.y - p.y)) < tol * scale * scale:
+            yield i, j, k
 
 
 def find_collinear_bs_triples(
     scene: Scene, tol: float = DEFAULT_COLLINEARITY_TOL
 ) -> list[tuple[str, str, str]]:
     """Ids of every active-BS triple that is collinear within tolerance."""
-    out = []
-    for a, b, c in itertools.combinations(scene.base_stations, 3):
-        if _triple_is_collinear(a.position, b.position, c.position, tol):
-            out.append((a.id, b.id, c.id))
-    return out
+    ids = [a.id for a in scene.base_stations]
+    return [tuple(ids[n] for n in triple)
+            for triple in collinear_triples(scene.bs_positions(), tol)]
 
 
 def points_are_collinear(points: np.ndarray, tol: float = DEFAULT_COLLINEARITY_TOL) -> bool:
@@ -138,13 +140,7 @@ def points_are_collinear(points: np.ndarray, tol: float = DEFAULT_COLLINEARITY_T
     Fewer than three points are always considered collinear.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if len(pts) < 3:
-        return True
-    as_points = [Point2(float(p[0]), float(p[1])) for p in pts]
-    return all(
-        _triple_is_collinear(p, q, r, tol)
-        for p, q, r in itertools.combinations(as_points, 3)
-    )
+    return sum(1 for _ in collinear_triples(pts, tol)) == math.comb(len(pts), 3)
 
 
 @dataclass(frozen=True)
@@ -211,15 +207,9 @@ def random_scene(
 
     for _ in range(max_attempts):
         xy = rng.uniform(lo, hi, size=(num_bs, 2))
-        pts = [Point2(float(x), float(y)) for x, y in xy]
-        bad = any(
-            _triple_is_collinear(p, q, r, collinearity_tol)
-            for p, q, r in itertools.combinations(pts, 3)
-        )
-        if not bad:
-            anchors = tuple(
-                Anchor(f"bs{i + 1}", AnchorKind.BS, p) for i, p in enumerate(pts)
-            )
+        if next(collinear_triples(xy, collinearity_tol), None) is None:
+            anchors = tuple(Anchor(f"bs{i + 1}", AnchorKind.BS, Point2(float(x), float(y)))
+                            for i, (x, y) in enumerate(xy))
             break
     else:
         raise SceneGenerationError(

@@ -421,10 +421,9 @@ class TestPairwiseGate:
         tol = 1e-12 if level < 0 else levels[level % len(levels)]
 
         gated = subproblem_table(profiles, anchors, tol)
-        assert not (oracle.rms[~gated.solved] <= tol).any()  # the gate is sound
-        assert (gated.rms[~gated.solved] == np.inf).all()
+        assert np.isin(np.flatnonzero(oracle.rms <= tol), gated.flat).all()  # the gate is sound
         for got, want in zip(self.columns(gated), self.columns(oracle)):
-            assert np.array_equal(got[gated.solved], want[gated.solved])
+            assert np.array_equal(got, want[gated.flat])
         dense = subproblem_table(profiles, anchors)
         for got, want in zip(self.columns(dense), self.columns(oracle)):
             assert np.array_equal(got, want)
@@ -493,9 +492,9 @@ def assert_gate_sound(profiles, anchors, tol):
     """No row the dense solve puts within ``tol`` is gated, and solved rows equal the oracle's."""
     oracle = DenseTable(profiles, anchors)
     gated = subproblem_table(profiles, anchors, tol)
-    assert not (oracle.rms[~gated.solved] <= tol).any()
+    assert np.isin(np.flatnonzero(oracle.rms <= tol), gated.flat).all()
     for got, want in zip(TestPairwiseGate.columns(gated), TestPairwiseGate.columns(oracle)):
-        assert np.array_equal(got[gated.solved], want[gated.solved])
+        assert np.array_equal(got, want[gated.flat])
     return oracle, gated
 
 
@@ -555,8 +554,8 @@ class TestTripleGate:
         anchors = np.array([[0.0, 0.0], [1e4, 3e4], [1e4, 2e4], [-2e4, 1e4]])
         targets = np.array([[3e4, 9e4], [1e4, -4e4]])
         profiles = profiles_for(anchors, targets)
-        _, gated = assert_gate_sound(profiles, anchors, tol)
-        assert gated.solved_rows < len(gated.rms)
+        oracle, gated = assert_gate_sound(profiles, anchors, tol)
+        assert gated.solved_rows == len(gated.flat) < len(oracle.rms)
         assert enumerate_feasible(profiles, anchors, tol) == enumerate_feasible(
             profiles, anchors, tol, table=subproblem_table(profiles, anchors))
 
@@ -568,6 +567,8 @@ class TestTripleGate:
         profiles, anchors = exact_profiles(scene), scene.bs_positions()
         table = subproblem_table(profiles, anchors, 1e-6)
         assert table.solved_rows == 4
+        assert len(table.rms) == table.solved_rows  # the table holds its survivors alone
+        assert (np.diff(table.flat) > 0).all()
         assert (DenseTable(profiles, anchors).rms <= 1e-6).sum() == 4
 
     def test_infinite_tolerance_gates_nothing_in_a_mixed_batch(self):
@@ -578,11 +579,11 @@ class TestTripleGate:
             batch.add(profiles, anchors, tol)
         for table, (profiles, anchors), tol in zip(batch.solve(), problems, tols):
             single = subproblem_table(profiles, anchors, tol)
-            assert np.array_equal(table.solved, single.solved)
+            assert np.array_equal(table.flat, single.flat)
             for got, want in zip(TestPairwiseGate.columns(table),
                                  TestPairwiseGate.columns(single)):
-                assert np.array_equal(got, want, equal_nan=True)
-            assert table.solved.all() == (tol > 1e3)
+                assert np.array_equal(got, want)
+            assert (len(table.flat) == 3 ** 4) == (tol > 1e3)
 
     @pytest.mark.parametrize("tol", [1e150, 1e300, 1.7e308, math.inf])
     def test_huge_tolerance_admits_every_row_quietly(self, tol):
@@ -685,11 +686,11 @@ class TestSubproblemBatch:
             batch.add(profiles, anchors, tol)
         for table, (profiles, anchors), tol in zip(batch.solve(), problems, tols):
             dense = subproblem_table(profiles, anchors)
-            assert table.gate_tol == tol and table.solved.any()
+            assert table.gate_tol == tol and len(table.flat)
             for got, want in ((table.positions, dense.positions), (table.rms, dense.rms),
                               (table.converged, dense.converged),
                               (table.iterations, dense.iterations)):
-                assert np.array_equal(got[table.solved], want[table.solved])
+                assert np.array_equal(got, want[table.flat])
 
     def test_shared_table_gives_same_results(self):
         profiles, anchors = noisy_problem(5, 3, 4, 0.1)

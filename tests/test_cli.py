@@ -323,6 +323,18 @@ class TestAssociate:
         a, b = json.loads(out_a), json.loads(out_b)
         assert a["best_solution"]["assignment"] == b["best_solution"]["assignment"]
 
+    def test_bnb_solver_runs_one_search(self, capsys, scenes_dir, monkeypatch):
+        # The enumeration already lists the best solution first, so bnb adds no search.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("associate ran a second search")
+
+        monkeypatch.setattr(association, "solve_association_bnb", unreachable)
+        code, out, err = run_cli(capsys, [
+            "associate", "--scene", str(scenes_dir / "example1.json"), "--solver", "bnb",
+        ])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["best_solution"]["assignment"] == [[0, 1], [0, 1], [0, 1]]
+
     def test_profiles_csv_override(self, capsys, tmp_path, scenes_dir):
         prof = tmp_path / "profiles.csv"
         lines = ["anchor_id,distance_m"]

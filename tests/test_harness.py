@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -354,6 +355,21 @@ class TestChunking:
         kept, kept_report = traced_peak()
         assert kept_report == report
         assert freed < kept / 2
+
+    def test_tables_hold_only_survivors(self):
+        # K=2, M=12: 4,096 rows per trial, of which a handful survive, so
+        # about 130 trials' tables wait for one solve. Tables with a slot
+        # for every row would hold some 140 KB each, about 18 MB in all.
+        plan = RandomScenePlan(num_bs=12, num_targets=2, bounds=Bounds(-150, -150, 150, 150))
+        spec = ExperimentSpec(random_plan=plan, trials=130, seed=1729, feas_tol_m=1e-4)
+        run_uniqueness_experiment(replace(spec, trials=2))  # imports and caches stay out
+        tracemalloc.start()
+        try:
+            run_uniqueness_experiment(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_partial_trials_inside_a_chunk(self):
         # Far targets go undetected: a chunk mixes partial and solved trials.

@@ -7,25 +7,27 @@ M anchors. A hypothesis is feasible when every target slot trilaterates with
 residual at or below the feasibility tolerance.
 
 A target slot's residual depends only on the distance index chosen at each
-anchor, so every solver works on one shared subproblem table over all K^M
+anchor, so every solver works on one shared subproblem table over the K^M
 index combinations. Most combinations mix ranges of different targets, and
 two tests at the feasibility tolerance prove them infeasible without
-solving them: a triangle inequality at every anchor pair, then, for the
-rows that pass it, a bound on where the annuli of every anchor triple can
-meet. Only the survivors are trilaterated (the gating step of multi-target
-tracking: Blackman and Popoli, *Design and Analysis of Modern Tracking
-Systems*, 1999); on exact ranges they are about the true rows alone. A
-table holds the survivors alone, with their row indices, and never changes
-once solved: it refuses a search at a looser tolerance than its gate's.
-The best max residual reported when nothing is feasible comes from a
-fresh, ungated table. ``SubproblemBatch`` stacks the survivors of many
-problems into a single solver call. Enumeration and branch-and-bound are
-then one depth-first search over the table's residuals, which fills target
-slots in order and never builds the hypotheses it rules out.
+solving them: a triangle inequality at every anchor pair and a bound on
+where the annuli of every anchor triple can meet. The gate builds the rows
+that pass both anchor by anchor (the gating step of multi-target tracking,
+Blackman and Popoli 1999, layered like the S-D assignment of Deb et al.,
+IEEE TAES 1997), so it never holds the rows it rules out; on exact ranges
+the survivors are about the true rows alone. Only they are trilaterated,
+into a table that never changes once solved. The best max residual
+reported when nothing is feasible comes from a fresh, ungated table.
+``SubproblemBatch`` stacks the survivors of many problems into a single
+solver call. Enumeration and branch-and-bound are one depth-first search
+over a table's residuals, which never builds the hypotheses it rules out.
+Refusals count work done: the rows the gate holds (MAX_GATE_ROWS) and the
+candidates a search examines (MAX_SEARCH_NODES).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,20 +45,15 @@ from .scene import Bounds, Point2, Scene, collinear_triples, true_distance
 # hypotheses are feasible at numerical-zero residual.
 RESIDUAL_TIE_EPS_M = 1e-12
 
-# Most hypotheses, (K!)^(M-1), a search may decide. It bounds what an
-# enumeration can return (every hypothesis is feasible at a loose enough
-# tolerance, each at least M x 8 bytes of indices) and the work of the
-# unpruned search behind an infeasible branch-and-bound. K=4 targets at M=5
-# anchors (331,776 hypotheses) is the largest size in use.
-MAX_HYPOTHESES = 1_000_000
+# Most rows the gate holds for one problem at one anchor: the rows that
+# passed the anchors before, each extended by K indices. At tol = inf every
+# row passes, so K^M is refused above this: K=8 at M=6 (262,144) fits.
+MAX_GATE_ROWS = 1 << 18
 
-# Most subproblem rows (K^M, one per distance index combination) a problem
-# may stack. Building and solving the table takes about
-# SUBPROBLEM_BYTES_PER_ROW_ANCHOR bytes per row and anchor (measured
-# 130-170 up to M=12), so the cap bounds it near 270 MB at M=6; K=6 at M=6
-# (46,656 rows) fits, K=8 at M=8 (16.8M rows, ~23 GB) does not.
-MAX_SUBPROBLEM_ROWS = 1 << 18
-SUBPROBLEM_BYTES_PER_ROW_ANCHOR = 170
+# Most candidate rows one search may examine, counted as it runs: about 5 s
+# of search (2-core x86, Python 3.11); the largest tier-1 search examines
+# about 33,000.
+MAX_SEARCH_NODES = 1 << 22
 
 @dataclass(frozen=True)
 class DistanceProfile:
@@ -117,12 +114,9 @@ def _check_inputs(profiles: Sequence[DistanceProfile], anchors_xy: np.ndarray) -
     n_targets = cardinalities.pop()
     if n_targets == 0:
         raise ValueError("profiles are empty")
-    rows = n_targets ** n_anchors
-    if rows > MAX_SUBPROBLEM_ROWS:
-        raise ValueError(
-            f"K={n_targets} targets at M={n_anchors} anchors give {rows:,} subproblem rows, "
-            f"about {rows * n_anchors * SUBPROBLEM_BYTES_PER_ROW_ANCHOR:,} bytes to build "
-            f"and solve; the table is capped at {MAX_SUBPROBLEM_ROWS:,} rows")
+    if n_targets ** n_anchors > np.iinfo(np.int64).max:
+        raise ValueError(f"K={n_targets} targets at M={n_anchors} anchors give more distance "
+                         f"index combinations than a 64-bit row index can number")
     triple = next(collinear_triples(anchors_xy), None)
     if triple is not None:
         raise GeometryError(f"anchors {triple} are collinear")
@@ -135,74 +129,118 @@ def _check_inputs(profiles: Sequence[DistanceProfile], anchors_xy: np.ndarray) -
 # could drop the true row by one ulp at a tiny tolerance.
 GATE_ROUNDING = 16 * np.finfo(float).eps
 
-# Largest length ratio the triple test computes with: rows whose lengths
+# Largest length ratio the triple test computes with: problems whose lengths
 # exceed TRIPLE_RANGE times min(1, D), for D the closest anchor pair, or
-# whose D is below 1 / TRIPLE_RANGE, are admitted untested, so no square or
-# square over D in the test overflows or leaves the normal range.
+# whose D is below 1 / TRIPLE_RANGE, skip it, so no square or square over D
+# in the test overflows or leaves the normal range.
 TRIPLE_RANGE = 2.0 ** 470
 
 # Most row-triple elements one pass of the triple test computes with, beyond
-# its M - 2 triples per row, so its temporaries stay O(rows (M - 2)).
+# its M - 2 triples per row, so its temporaries stay O(rows (M - 2)); the
+# gate's join puts its triple tests off while they fit in one pass.
 TRIPLE_BLOCK = 1 << 12
 
 
-def _gate(ranges: np.ndarray, anchors: np.ndarray, problem: np.ndarray,
-          tol: np.ndarray) -> np.ndarray:
-    """Rows that can trilaterate with rms at most their tolerance.
+def _gate(dists: Sequence[np.ndarray], anchors: np.ndarray,
+          tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every row of several problems that can trilaterate within tolerance, built anchor by anchor.
 
-    ``ranges`` is (N, M), one row per distance index combination;
-    ``anchors`` (P, M, 2) and ``tol`` (P,) are the problems' anchors and
-    tolerances, and ``problem`` (N,) says which problem each row belongs to.
-    Every row must pass the pairwise test, and the rows that pass it must
-    pass the triple test; a row failing either can never be feasible. Rows
-    where the triple test is vacuous skip it: when a row's slack is at least
-    the anchor extent and every one of its distances, the anchor mean lies
-    in all its annuli (so every row at tol = inf passes). So do rows whose
-    lengths could overflow or underflow the test's squares.
-    """
-    n_anchors = ranges.shape[1]
-    offsets = anchors - anchors.mean(axis=1, keepdims=True)
-    extent = np.hypot(offsets[:, :, 0], offsets[:, :, 1]).max(axis=1)
-    spreads = {pair: np.hypot(*(anchors[:, pair[0]] - anchors[:, pair[1]]).T)
-               for pair in itertools.combinations(range(n_anchors), 2)}
-    with np.errstate(over="ignore"):  # a huge tolerance saturates to an inf slack
-        pair_slack, slack = ((s + GATE_ROUNDING * (extent + s))[problem] for s in (
-            math.sqrt(2 * n_anchors) * tol, math.sqrt(n_anchors) * tol))
-    admissible = _pairwise_admissible(ranges, spreads, problem, pair_slack)
-    closest = np.min(list(spreads.values()), axis=0)
-    reach = np.maximum(extent[problem], ranges.max(axis=1))
-    tested = admissible & (slack < reach) & (closest[problem] >= 1 / TRIPLE_RANGE) & (
-        reach <= TRIPLE_RANGE * np.minimum(closest, 1.0)[problem])
-    rows = np.flatnonzero(tested)
-    admissible[rows] = _triple_admissible(ranges[rows], anchors, problem[rows], slack[rows])
-    return admissible
+    ``dists`` holds each problem's (M, K) distances, ``anchors`` (P, M, 2)
+    and ``tol`` (P,) its anchors and tolerance. Returns the ``problem``,
+    ``flat`` index and ``ranges`` of every survivor, in problem order and
+    ascending ``flat`` within a problem. The join extends each partial row
+    by every index at the next anchor m and keeps it only if it passes the
+    pairwise test against every earlier anchor and the triple test on every
+    triple (i, j, m); a row failing either can never be feasible. While the
+    rows times the triples pending fit TRIPLE_BLOCK, the triple tests wait
+    and run together: on so few rows a numpy pass costs its call, not its
+    arithmetic, and the survivors are the same. Before each extension the
+    rows a problem would hold are counted, and more than MAX_GATE_ROWS are
+    refused.
 
-
-def _pairwise_admissible(ranges: np.ndarray, spreads: dict, problem: np.ndarray,
-                         slack: np.ndarray) -> np.ndarray:
-    """Rows that pass the triangle inequality at every anchor pair.
-
-    A row with rms <= tol has r_i^2 + r_j^2 <= M tol^2 at every anchor pair,
-    so |r_i| + |r_j| <= sqrt(2M) tol, and the triangle inequality through
-    the solution gives |d_i - d_j| <= |a_i - a_j| + sqrt(2M) tol and
-    d_i + d_j >= |a_i - a_j| - sqrt(2M) tol. ``spreads`` maps each anchor
-    pair to the problems' |a_i - a_j|, and ``slack`` (N,) is each row's
+    Pairwise test: a row with rms <= tol has r_i^2 + r_j^2 <= M tol^2 at
+    every anchor pair, so |r_i| + |r_j| <= sqrt(2M) tol, and the triangle
+    inequality through the solution gives |d_i - d_j| <= |a_i - a_j| +
+    sqrt(2M) tol and d_i + d_j >= |a_i - a_j| - sqrt(2M) tol. Its slack is
     sqrt(2M) tol plus GATE_ROUNDING of every magnitude the solver's rms and
     this test round at, including the anchor extent of the solver's centred
-    frame.
+    frame. A problem skips the triple test where it is vacuous (its slack
+    is at least the anchor extent and every one of its distances, so the
+    anchor mean lies in all annuli of every row, as at tol = inf) and where
+    its lengths could overflow or underflow the test's squares.
     """
-    admissible = np.ones(len(ranges), bool)
-    for (i, j), spread in spreads.items():
-        spread = spread[problem]
-        di, dj = ranges[:, i], ranges[:, j]
-        pair_slack = slack + GATE_ROUNDING * (di + dj + spread)
-        admissible &= (np.abs(di - dj) <= spread + pair_slack) & (di + dj >= spread - pair_slack)
-    return admissible
+    n_problems, n_anchors = anchors.shape[:2]
+    sizes = np.array([d.shape[1] for d in dists])
+    first = np.cumsum(sizes) - sizes  # each problem's first column of ``columns``
+    columns = np.concatenate(dists, axis=1)
+    offsets = anchors - anchors.mean(axis=1, keepdims=True)
+    extent = np.hypot(offsets[:, :, 0], offsets[:, :, 1]).max(axis=1)
+    gaps = anchors[:, :, None] - anchors[:, None, :]  # a_i - a_j at [:, i, j]
+    spread = np.hypot(gaps[..., 0], gaps[..., 1])
+    closest = (spread + np.diag(np.full(n_anchors, np.inf))).min(axis=(1, 2))
+    with np.errstate(over="ignore"):  # a huge tolerance saturates to an inf slack
+        pair_slack, slack = (s + GATE_ROUNDING * (extent + s) for s in (
+            math.sqrt(2 * n_anchors) * tol, math.sqrt(n_anchors) * tol))
+    reach = np.maximum(extent, np.maximum.reduceat(columns.max(axis=0), first))
+    tested = (slack < reach) & (closest >= 1 / TRIPLE_RANGE) & (
+        reach <= TRIPLE_RANGE * np.minimum(closest, 1.0))
+    triples = _triples(n_anchors)
+    i, j, k = triples.T  # D, a_k in the frame and |a_k - a_i| of every triple
+    base, rel, span = gaps[:, j, i], gaps[:, k, i], spread[:, j, i]
+    unit = base / span[..., None]
+    geometry = np.stack([
+        span, rel[..., 0] * unit[..., 0] + rel[..., 1] * unit[..., 1],
+        rel[..., 1] * unit[..., 0] - rel[..., 0] * unit[..., 1], spread[:, k, i]])
+
+    def with_triples(problem, flat, ranges, pending: slice):
+        """The rows that pass the ``pending`` triples, or whose problem skips them."""
+        keep = ~tested[problem]
+        rows = np.flatnonzero(~keep)
+        keep[rows] = _triple_admissible(ranges[rows], geometry[:, :, pending], triples[pending],
+                                        problem[rows], slack[problem[rows]])
+        return problem[keep], flat[keep], ranges[keep]
+
+    problem = np.repeat(np.arange(n_problems), sizes)
+    flat = np.arange(len(problem)) - first[problem]
+    ranges = np.zeros((len(problem), n_anchors))
+    ranges[:, 0] = columns[0]
+    done = 0  # triples tested so far, in order of their last anchor
+    for m in range(1, n_anchors):
+        width = sizes[problem]
+        held = width.sum()  # rows after the extension, all problems together
+        if held * (math.comb(m + 1, 3) - done) > TRIPLE_BLOCK or held > MAX_GATE_ROWS:
+            problem, flat, ranges = with_triples(problem, flat, ranges,
+                                                 slice(done, math.comb(m, 3)))
+            done, width = math.comb(m, 3), sizes[problem]
+            held = np.bincount(problem, minlength=n_problems) * sizes
+            if held.max() > MAX_GATE_ROWS:
+                p = int(held.argmax())
+                raise ValueError(
+                    f"K={sizes[p]} targets at M={n_anchors} anchors leave {held[p]:,} candidate "
+                    f"rows at anchor {m + 1}; the gate holds at most {MAX_GATE_ROWS:,} per problem")
+        parent = np.repeat(np.arange(len(problem)), width)
+        index = np.arange(len(parent)) - (np.cumsum(width) - width)[parent]
+        problem, ranges = problem[parent], ranges[parent]
+        flat = flat[parent] * sizes[problem] + index
+        ranges[:, m] = columns[m, first[problem] + index]
+        di, dj, gap = ranges[:, :m], ranges[:, m:m + 1], spread[problem, :m, m]
+        allowance = pair_slack[problem, None] + GATE_ROUNDING * (di + dj + gap)
+        keep = ((np.abs(di - dj) <= gap + allowance) & (di + dj >= gap - allowance)).all(axis=1)
+        problem, flat, ranges = problem[keep], flat[keep], ranges[keep]
+    return with_triples(problem, flat, ranges, slice(done, len(triples)))
 
 
-def _triple_admissible(ranges: np.ndarray, anchors: np.ndarray, problem: np.ndarray,
-                       slack: np.ndarray) -> np.ndarray:
-    """Rows whose every anchor triple leaves room for a target within tolerance.
+@functools.cache
+def _triples(n_anchors: int) -> np.ndarray:
+    """Index triples i < j < k of M anchors, (T, 3), in order of k; shared, so read-only."""
+    triples = np.array(sorted(itertools.combinations(range(n_anchors), 3), key=lambda t: t[2]))
+    triples.flags.writeable = False
+    return triples
+
+
+def _triple_admissible(ranges: np.ndarray, geometry: np.ndarray, triples: np.ndarray,
+                       problem: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """Rows whose every anchor triple in ``triples`` leaves room for a target within tolerance.
 
     A row with rms <= tol has |r_m| <= sqrt(M) tol at every anchor, so its
     target lies in the annulus [lo_m, hi_m] = [d_m - s, d_m + s] around
@@ -218,10 +256,11 @@ def _triple_admissible(ranges: np.ndarray, anchors: np.ndarray, problem: np.ndar
     |x| <= hi_i and |x - D| <= hi_j, and |y| from both annuli over that x
     range. A row is gated when the box is empty, or when neither box's
     distance range to a_k meets [lo_k, hi_k]. Each triple is tested once,
-    with base pair (i, j). The anchors' rotated coordinates are computed
-    once per problem; triples are tested in passes of at least M - 2, and
-    of more while the rows times the triples stay within TRIPLE_BLOCK, and
-    a row gated by one pass is not tested by the next.
+    with base pair (i, j); ``geometry`` holds D, a_k's coordinates in the
+    frame and |a_k - a_i| for every problem. Triples are tested in passes
+    of at least M - 2, and of more while the rows times the triples stay
+    within TRIPLE_BLOCK, and a row gated by one pass is not tested by the
+    next.
 
     Rounding: in a triple every length below is at most
     L = hi_i + hi_j + hi_k + D + |a_k - a_i| (up to its own widening), every
@@ -230,42 +269,32 @@ def _triple_admissible(ranges: np.ndarray, anchors: np.ndarray, problem: np.ndar
     within a few ulps, so it is off by fewer than 16 ulps of its magnitude
     (x, the worst, by about 9); widening every length by
     E = GATE_ROUNDING (L + L^2 / D) and every square by GATE_ROUNDING L^2
-    keeps each bound on its safe side. The caller admits untested the rows
-    whose lengths could overflow or leave the normal range.
+    keeps each bound on its safe side. The caller skips the problems whose
+    lengths could overflow or leave the normal range.
     """
-    n_anchors = ranges.shape[1]
     pad = slack[:, None] + GATE_ROUNDING * ranges
     lo, hi = np.maximum(ranges - pad, 0.0), ranges + pad
-    triples = np.array(list(itertools.combinations(range(n_anchors), 3)))
-    base = anchors[:, triples[:, 1]] - anchors[:, triples[:, 0]]
-    rel = anchors[:, triples[:, 2]] - anchors[:, triples[:, 0]]
-    span = np.hypot(base[..., 0], base[..., 1])
-    unit = base / span[..., None]
-    geometry = np.stack([  # D, a_k in the frame, and |a_k - a_i| of every problem's triples
-        span, rel[..., 0] * unit[..., 0] + rel[..., 1] * unit[..., 1],
-        rel[..., 1] * unit[..., 0] - rel[..., 0] * unit[..., 1], np.hypot(rel[..., 0], rel[..., 1])])
-
+    radii = np.stack([lo, hi, lo * lo, hi * hi])
     rows, done = np.arange(len(ranges)), 0
     while done < len(triples) and len(rows):
-        cols = slice(done, done + max(n_anchors - 2, TRIPLE_BLOCK // len(rows)))
+        cols = slice(done, done + max(ranges.shape[1] - 2, TRIPLE_BLOCK // len(rows)))
         done = cols.stop
         d, u, v, r = geometry[:, problem[rows], cols]
-        lo_i, lo_j, lo_k = (lo[rows][:, triples[cols, c]] for c in range(3))
-        hi_i, hi_j, hi_k = (hi[rows][:, triples[cols, c]] for c in range(3))
+        d_sq, d_twice = d * d, 2 * d
+        (lo_i, lo_j, lo_k), (hi_i, hi_j, hi_k), (lo_sq_i, lo_sq_j, _), (hi_sq_i, hi_sq_j, _) = (
+            np.moveaxis(radii[:, rows][:, :, triples[cols]], 3, 1))
         size = hi_i + hi_j + hi_k + d + r
         err = GATE_ROUNDING * (size + size * (size / d))
         sq_err = GATE_ROUNDING * size * size
-        x_lo = np.maximum(np.maximum((lo_i * lo_i - hi_j * hi_j + d * d) / (2 * d), -hi_i),
-                          d - hi_j) - err
-        x_hi = np.minimum(np.minimum((hi_i * hi_i - lo_j * lo_j + d * d) / (2 * d), hi_i),
-                          d + hi_j) + err
+        x_lo = np.maximum(np.maximum((lo_sq_i - hi_sq_j + d_sq) / d_twice, -hi_i), d - hi_j) - err
+        x_hi = np.minimum(np.minimum((hi_sq_i - lo_sq_j + d_sq) / d_twice, hi_i), d + hi_j) + err
         # Nearest and farthest |x| and |x - D| over [x_lo, x_hi].
         near_i = np.maximum(np.maximum(x_lo, -x_hi), 0.0)
         near_j = np.maximum(np.maximum(x_lo - d, d - x_hi), 0.0)
         far_i = np.maximum(-x_lo, x_hi)
         far_j = np.maximum(d - x_lo, x_hi - d)
-        y_hi_sq = np.minimum(hi_i * hi_i - near_i * near_i, hi_j * hi_j - near_j * near_j) + sq_err
-        y_lo_sq = np.maximum(lo_i * lo_i - far_i * far_i, lo_j * lo_j - far_j * far_j) - sq_err
+        y_hi_sq = np.minimum(hi_sq_i - near_i * near_i, hi_sq_j - near_j * near_j) + sq_err
+        y_lo_sq = np.maximum(lo_sq_i - far_i * far_i, lo_sq_j - far_j * far_j) - sq_err
         box = (x_lo <= x_hi) & (y_hi_sq >= 0)
         y_hi = np.sqrt(np.maximum(y_hi_sq, 0.0)) + err
         y_lo = np.maximum(np.sqrt(np.maximum(y_lo_sq, 0.0)) - err, 0.0)
@@ -322,65 +351,57 @@ class _SubproblemTable:
 class SubproblemBatch:
     """Subproblem rows of several association problems, solved in one call.
 
-    ``add`` validates one problem and stacks its K^M rows with that
-    problem's anchors and feasibility tolerance, counting them in
-    ``ungated_rows``; ``gate`` tests every row stacked since the last gate
-    at its problem's tolerance (the pairwise test, then the triple test on
-    the rows that pass it) in one pass, keeps only the ``survivors`` and
-    their row indices, and frees the rest; ``solve`` gates what is left,
-    runs every survivor through a single ``solve_ranges_batch`` call, and
-    returns one table per added problem, in order. Every solved row's
-    result is bitwise what a separate call would give. All problems in a
-    batch need the same anchor count M.
+    ``add`` validates one problem and keeps its distances, anchors and
+    feasibility tolerance, counting its K^M rows in ``ungated_rows``;
+    ``gate`` builds the ``survivors`` of every problem added since, in one
+    join (see ``_gate``); ``solve`` gates what is left, runs every survivor
+    through a single ``solve_ranges_batch`` call, and returns one table per
+    added problem, in order. Every solved row's result is bitwise what a
+    separate call would give. All problems in a batch need the same M.
     """
 
     def __init__(self):
-        self._shapes: list[tuple[int, int]] = []
+        self._dists: list[np.ndarray] = []  # (M, K) distances of each problem
         self._anchors: list[np.ndarray] = []
         self._tols: list[float] = []
-        self._dense: list[np.ndarray] = []  # K^M rows of each problem not yet gated
         self._flat: list[np.ndarray] = []  # admissible row indices of each gated problem
         self._kept: list[np.ndarray] = []  # surviving rows of each gate, in problem order
         self.ungated_rows = self.survivors = 0
 
     def add(self, profiles: Sequence[DistanceProfile], anchors, tol: float = math.inf) -> None:
-        """Stack one problem's rows; ``tol`` = inf gates nothing."""
+        """Keep one problem for the next gate; ``tol`` = inf gates nothing."""
         anchors_xy = _as_anchor_array(anchors)
         n_targets, n_anchors = _check_inputs(profiles, anchors_xy)
-        if self._shapes and self._shapes[0][1] != n_anchors:
+        if self._dists and len(self._dists[0]) != n_anchors:
             raise ValueError("every problem in a batch needs the same anchor count")
-        combos = np.indices((n_targets,) * n_anchors).reshape(n_anchors, -1).T  # (K^M, M)
-        dists = [np.array(p.distances, float) for p in profiles]
-        self._shapes.append((n_targets, n_anchors))
-        self._dense.append(np.stack([dists[m][combos[:, m]] for m in range(n_anchors)], axis=1))
+        self._dists.append(np.array([p.distances for p in profiles], float))
         self._anchors.append(anchors_xy)
         self._tols.append(tol)
-        self.ungated_rows += len(combos)
+        self.ungated_rows += n_targets ** n_anchors
 
     def gate(self) -> None:
-        """Gate the rows of every problem added since the last gate, in one pass."""
-        if not self._dense:
-            return
+        """Build the surviving rows of every problem added since the last gate, in one join."""
         start = len(self._flat)
-        sizes = [len(rows) for rows in self._dense]
-        rows = np.concatenate(self._dense)
-        admissible = _gate(rows, np.stack(self._anchors[start:]),
-                           np.repeat(np.arange(len(sizes)), sizes), np.array(self._tols[start:]))
-        self._flat.extend(map(np.flatnonzero, np.split(admissible, np.cumsum(sizes)[:-1])))
-        self._kept.append(rows[admissible])
-        self.survivors += len(self._kept[-1])
-        self._dense, self.ungated_rows = [], 0
+        if start == len(self._dists):
+            return
+        problem, flat, ranges = _gate(self._dists[start:], np.stack(self._anchors[start:]),
+                                      np.array(self._tols[start:]))
+        counts = np.bincount(problem, minlength=len(self._dists) - start)
+        self._flat.extend(np.split(flat, np.cumsum(counts)[:-1]))
+        self._kept.append(ranges)
+        self.survivors += len(ranges)
+        self.ungated_rows = 0
 
     def solve(self) -> list[_SubproblemTable]:
-        if not self._shapes:
+        if not self._dists:
             return []
         self.gate()
         counts = [len(flat) for flat in self._flat]
         problem = np.repeat(np.arange(len(counts)), counts)
         results = solve_ranges_batch(np.stack(self._anchors)[problem], np.concatenate(self._kept))
         per_problem = zip(*(np.split(values, np.cumsum(counts)[:-1]) for values in results))
-        return [_SubproblemTable(*shape, tol, flat, own) for shape, tol, flat, own
-                in zip(self._shapes, self._tols, self._flat, per_problem)]
+        return [_SubproblemTable(*dists.shape[::-1], tol, flat, own) for dists, tol, flat, own
+                in zip(self._dists, self._tols, self._flat, per_problem)]
 
 
 def subproblem_table(profiles: Sequence[DistanceProfile], anchors,
@@ -391,18 +412,7 @@ def subproblem_table(profiles: Sequence[DistanceProfile], anchors,
     return batch.solve()[0]
 
 
-def _hypothesis_count(n_targets: int, n_anchors: int) -> int:
-    """(K!)^(M-1); raises ValueError above MAX_HYPOTHESES."""
-    total = math.factorial(n_targets) ** (n_anchors - 1)
-    if total > MAX_HYPOTHESES:
-        raise ValueError(
-            f"K={n_targets} targets at M={n_anchors} anchors give {total:,} association "
-            f"hypotheses, about {total * n_anchors * 8:,} bytes of indices if all were "
-            f"feasible; the search is capped at {MAX_HYPOTHESES:,}")
-    return total
-
-
-def _search(table: _SubproblemTable, tol: float, best: bool) -> list[tuple]:
+def _search(table: _SubproblemTable, tol: float, best: bool) -> tuple[list[tuple], int]:
     """Depth-first search for hypotheses whose every slot meets ``tol``.
 
     Slot k's candidates are the table rows whose anchor-1 index is k and
@@ -413,8 +423,10 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> list[tuple]:
     once its partial max residual exceeds the best complete one by more
     than RESIDUAL_TIE_EPS_M, and exactly the hypotheses within that band of
     the optimum are returned. Each result is (max_residual_m, assignment,
-    table row per slot). Raises ValueError when ``tol`` is looser than the
-    table's gate, which left rows unsolved that such a search would need.
+    table row per slot); they come with the number of candidates examined.
+    Raises ValueError when ``tol`` is looser than the table's gate, which
+    left rows unsolved that such a search would need, and once the search
+    examines more than MAX_SEARCH_NODES candidates.
     """
     if tol > table.gate_tol:
         raise ValueError(f"a search at tol {tol} needs rows that the table's gate at tol "
@@ -434,9 +446,10 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> list[tuple]:
     chosen: list[tuple[tuple[int, ...], int]] = []
     incumbent = math.inf
     found: list[tuple] = []
+    nodes = 0
 
     def dfs(slot: int, partial_max: float) -> None:
-        nonlocal incumbent
+        nonlocal incumbent, nodes
         if slot == k:
             assignment = (tuple(range(k)),) + tuple(
                 tuple(combo[a] for combo, _ in chosen) for a in range(m - 1))
@@ -446,6 +459,10 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> list[tuple]:
                 found[:] = [f for f in found if f[0] <= incumbent + RESIDUAL_TIE_EPS_M]
             return
         for combo, residual, row in candidates[slot]:
+            nodes += 1
+            if nodes > MAX_SEARCH_NODES:
+                raise ValueError(f"K={k} targets at M={m} anchors: the search examined {nodes:,} "
+                                 f"candidate rows; it is capped at {MAX_SEARCH_NODES:,}")
             new_max = max(partial_max, residual)
             if new_max > incumbent + RESIDUAL_TIE_EPS_M:
                 break  # candidates ascend, so every later one is cut too
@@ -460,14 +477,30 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> list[tuple]:
                 used[a][j] = False
 
     dfs(0, 0.0)
-    return found
+    return found, nodes
 
 
 def _best_max_residual(profiles: Sequence[DistanceProfile], anchors) -> float:
     """Smallest max slot residual over all hypotheses, searched on a fresh ungated table."""
-    table = subproblem_table(profiles, anchors)
-    _hypothesis_count(table.k, table.m)
-    return min(f[0] for f in _search(table, math.inf, best=True))
+    found, _ = _search(subproblem_table(profiles, anchors), math.inf, best=True)
+    return min(f[0] for f in found)
+
+
+def _best_solution(table: _SubproblemTable, tol: float) -> AssociationSolution | None:
+    """The best hypothesis on ``table`` whose every slot meets ``tol``, or None.
+
+    The enumeration's search, with a branch cut once its partial max
+    residual exceeds the best complete one by more than RESIDUAL_TIE_EPS_M:
+    every hypothesis within that band of the optimum survives, so the
+    lexicographic tie-break picks exactly what the exhaustive search picks.
+    """
+    tied, _ = _search(table, tol, best=True)
+    if not tied:
+        return None
+    _, assignment, rows = min(tied, key=lambda t: t[1])
+    estimates = tuple(table.estimate(row) for row in rows)
+    return AssociationSolution(AssociationHypothesis(assignment), estimates,
+                               max(e.residual_rms_m for e in estimates))
 
 
 def enumerate_feasible(
@@ -485,12 +518,14 @@ def enumerate_feasible(
     Solutions within RESIDUAL_TIE_EPS_M of the smallest max residual tie and
     come first, in lexicographic hypothesis order, so the first solution is
     the best one; the rest follow by max residual, then hypothesis order.
-    Raises ValueError above MAX_HYPOTHESES hypotheses.
+    Raises ValueError when the table's gate or the search is refused (see
+    MAX_GATE_ROWS and MAX_SEARCH_NODES).
 
     When given, ``stats`` receives bookkeeping: hypotheses_examined and
-    best_max_residual_m over the whole search space, the table's gated_rows,
-    and solved_rows, the rows given to the solver: the table's, plus K^M
-    when nothing is feasible and the best max residual needs every row.
+    best_max_residual_m over the whole search space, search_nodes, the
+    candidates the search examined, the table's gated_rows, and solved_rows,
+    the rows given to the solver: the table's, plus K^M when nothing is
+    feasible and the best max residual needs every row.
     ``table`` is the subproblem table of these profiles and anchors, already
     validated and solved (see ``SubproblemBatch``) and gated at no tighter a
     tolerance than ``feas_tol_m``; without it the table is built here, gated
@@ -498,15 +533,14 @@ def enumerate_feasible(
     """
     if table is None:
         table = subproblem_table(profiles, anchors, feas_tol_m)
-    total = _hypothesis_count(table.k, table.m)
-
+    found, nodes = _search(table, feas_tol_m, best=False)
     solutions = [
         AssociationSolution(
             hypothesis=AssociationHypothesis(assignment),
             estimates=tuple(table.estimate(row) for row in rows),
             max_residual_m=max_residual,
         )
-        for max_residual, assignment, rows in _search(table, feas_tol_m, best=False)
+        for max_residual, assignment, rows in found
     ]
     best = min((s.max_residual_m for s in solutions), default=math.inf)
     # Every tie sorts as if at the top of the band, so only the order breaks it.
@@ -514,7 +548,8 @@ def enumerate_feasible(
                                   s.hypothesis.assignment))
 
     if stats is not None:
-        stats["hypotheses_examined"] = total
+        stats["hypotheses_examined"] = math.factorial(table.k) ** (table.m - 1)
+        stats["search_nodes"] = nodes
         # A hypothesis below the best solution's max residual would be feasible too.
         stats["best_max_residual_m"] = best if solutions else _best_max_residual(profiles, anchors)
         stats["solved_rows"] = table.solved_rows + (0 if solutions else table.k ** table.m)
@@ -556,30 +591,17 @@ def solve_association_bnb(
 ) -> AssociationSolution:
     """Branch-and-bound over the subproblem table, equal to solve_association.
 
-    The enumeration's search, with a branch cut once its partial max
-    residual exceeds the best complete one by more than RESIDUAL_TIE_EPS_M.
-    Every hypothesis within that band of the optimum survives, so the
-    tie-break by lexicographic hypothesis order picks exactly what the
-    exhaustive search picks. When nothing is feasible, the
+    See ``_best_solution``. When nothing is feasible, the
     InfeasibleAssociationError carries the exact best max residual, from the
-    same search with no tolerance over a fresh, ungated table, which is
-    subject to MAX_HYPOTHESES.
+    same search with no tolerance over a fresh, ungated table.
     ``table`` is as in ``enumerate_feasible``.
     """
     if table is None:
         table = subproblem_table(profiles, anchors, feas_tol_m)
-    tied = _search(table, feas_tol_m, best=True)
-    if not tied:
+    solution = _best_solution(table, feas_tol_m)
+    if solution is None:
         raise _infeasible(feas_tol_m, _best_max_residual(profiles, anchors))
-
-    # Pruning left exactly the solutions within the tie band of the best.
-    _, assignment, rows = min(tied, key=lambda t: t[1])
-    estimates = tuple(table.estimate(row) for row in rows)
-    return AssociationSolution(
-        hypothesis=AssociationHypothesis(assignment),
-        estimates=estimates,
-        max_residual_m=max(e.residual_rms_m for e in estimates),
-    )
+    return solution
 
 
 def build_ghost_report(

@@ -5,12 +5,12 @@ trial number), so reports are byte-identical regardless of execution order
 or worker count.
 
 Trials run as streams. A stream draws each trial's scene and measurements
-in turn and stacks the subproblem rows of its full-detection trials; every
-CHUNK_ROWS stacked rows it gates them in one pass at each trial's
-association tolerance and keeps only the survivors, and once CHUNK_ROWS
-rows survive it solves them in one call and scores each trial drawn so far
-from its own table, so it never holds more than CHUNK_ROWS + K^M ungated
-rows. One worker runs all jobs as one stream; N workers, at most one per
+in turn and keeps the distance sets of its full-detection trials; once
+they span CHUNK_ROWS subproblem rows (K^M per trial) it gates them in one
+join at each trial's association tolerance, which builds only the rows
+that survive, and once CHUNK_ROWS rows survive it solves them in one call
+and scores each trial drawn so far from its own table. No ungated row is
+ever built. One worker runs all jobs as one stream; N workers, at most one per
 CPU, run one contiguous slice each, unless every job's rows fit in one
 call's CHUNK_ROWS, when the run stays in-process.
 """
@@ -29,16 +29,17 @@ from .association import (
     AssociationSolution,
     DistanceProfile,
     SubproblemBatch,
+    _best_solution,
     enumerate_feasible,
-    solve_association_bnb,
+    solve_association_bnb,  # noqa: F401  kept under this name for bench/tracing.py
 )
-from .errors import InfeasibleAssociationError
 from .link_budget import LinkBudgetParams, covered, range_resolution
 from .scene import Bounds, Scene, random_scene, scene_to_dict, true_distance
 
 CORRECT_MATCH_RADIUS_M = 1e-3
 
-# Solver rows stacked into one call, and ungated rows stacked into one gate.
+# Solver rows stacked into one call, and subproblem rows (K^M per trial)
+# decided by one gate.
 # A stream solves once this many rows survive the gate, so every call but a
 # stream's last holds at least CHUNK_ROWS rows and fewer than
 # 2 * CHUNK_ROWS + K^M. At 256 rows the mc-accuracy benchmark peaks at
@@ -275,10 +276,8 @@ def _accuracy_record(trial: int, trial_seed: int, scene: Scene, noise: NoiseMode
     if record["partial"]:
         return record
 
-    try:
-        solution = solve_association_bnb(ms.profiles, scene.bs_positions(), table.gate_tol,
-                                         table=table)
-    except InfeasibleAssociationError:
+    solution = _best_solution(table, table.gate_tol)
+    if solution is None:
         record.update(infeasible=True, correct=False)
         return record
 
@@ -291,12 +290,12 @@ def _run_stream(args: tuple) -> list[dict]:
     """Records of one stream of (noise, trial, trial seed) jobs, in job order.
 
     Each trial's scene and measurements are drawn in turn, and a
-    full-detection trial stacks its subproblem rows at its association
-    tolerance. Every CHUNK_ROWS stacked rows are gated in one pass, which
-    frees all but the survivors; once CHUNK_ROWS rows survive, they are
-    solved in one call and the trials drawn so far are scored from their own
-    tables with ``make_record``, which searches each table at its
-    ``gate_tol``, the trial's association tolerance.
+    full-detection trial adds its problem at its association tolerance.
+    Once the problems added span CHUNK_ROWS subproblem rows they are gated
+    in one join, which builds only the survivors; once CHUNK_ROWS rows
+    survive, they are solved in one call and the trials drawn so far are
+    scored from their own tables with ``make_record``, which searches each
+    table at its ``gate_tol``, the trial's association tolerance.
     """
     make_record, spec, jobs = args
     records: list[dict] = []

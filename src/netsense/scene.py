@@ -108,6 +108,11 @@ def true_distance(a: Point2, b: Point2) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
+def _collinear(p: Point2, q: Point2, r: Point2, tol: float) -> bool:
+    scale = max(true_distance(p, q), true_distance(q, r), true_distance(p, r))
+    return 0.5 * abs((q.x - p.x) * (r.y - p.y) - (r.x - p.x) * (q.y - p.y)) < tol * scale * scale
+
+
 def collinear_triples(points, tol: float = DEFAULT_COLLINEARITY_TOL):
     """Index triples i < j < k of the (x, y) ``points`` that are collinear within ``tol``.
 
@@ -118,9 +123,7 @@ def collinear_triples(points, tol: float = DEFAULT_COLLINEARITY_TOL):
     """
     pts = [Point2(float(x), float(y)) for x, y in points]
     for i, j, k in itertools.combinations(range(len(pts)), 3):
-        p, q, r = pts[i], pts[j], pts[k]
-        scale = max(true_distance(p, q), true_distance(q, r), true_distance(p, r))
-        if 0.5 * abs((q.x - p.x) * (r.y - p.y) - (r.x - p.x) * (q.y - p.y)) < tol * scale * scale:
+        if _collinear(pts[i], pts[j], pts[k], tol):
             yield i, j, k
 
 
@@ -136,11 +139,12 @@ def find_collinear_bs_triples(
 def points_are_collinear(points: np.ndarray, tol: float = DEFAULT_COLLINEARITY_TOL) -> bool:
     """True when an entire point set fails to span the plane.
 
-    The set is collinear when every triple is collinear within tolerance.
-    Fewer than three points are always considered collinear.
+    The set is collinear when every triple is collinear within tolerance,
+    so the first triple that spans the plane decides. Fewer than three
+    points are always considered collinear.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    return sum(1 for _ in collinear_triples(pts, tol)) == math.comb(len(pts), 3)
+    pts = [Point2(float(x), float(y)) for x, y in np.asarray(points, dtype=float).reshape(-1, 2)]
+    return all(_collinear(p, q, r, tol) for p, q, r in itertools.combinations(pts, 3))
 
 
 @dataclass(frozen=True)

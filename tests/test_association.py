@@ -330,6 +330,8 @@ def check_against_brute_force(profiles, anchors, tol, table):
         h[:2] for h in feasible]
     for s, (_, _, flats) in zip(solutions, feasible):
         assert s.estimates == tuple(table.estimate(f) for f in flats)
+    # Each solution ends at a distinct candidate of the last slot.
+    assert stats.pop("search_nodes") >= len(feasible)
     # With nothing feasible, the best max residual solves a fresh table's rows too.
     assert stats == {"hypotheses_examined": len(oracle), "best_max_residual_m": best,
                      "solved_rows": len(table.rms) * (1 if feasible else 2), "gated_rows": 0}
@@ -406,15 +408,15 @@ class TestPairwiseGate:
         return table.positions, table.rms, table.converged, table.iterations
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), m=st.integers(3, 5),
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6), m=st.integers(3, 6),
            sigma=st.sampled_from([0.0, 0.01, 0.1, 1.0]), level=st.integers(-1, 10**6))
     def test_matches_dense_oracle(self, seed, k, m, sigma, level):
         # The tolerance is 1e-12 (level -1) or one of the rows' rms values,
         # the largest of which makes every hypothesis feasible. Above 1,296
         # hypotheses only the 2K tightest levels are drawn, so the listings
-        # stay short; above 14,400 the brute force itself is too slow.
+        # stay short; above 14,400 the brute force itself is too slow, and
+        # the listings are checked against the dense table alone.
         hypotheses = math.factorial(k) ** (m - 1)
-        assume(hypotheses <= 14_400)
         profiles, anchors = noisy_problem(seed, k, m, sigma)
         oracle = DenseTable(profiles, anchors)
         levels = sorted(set(oracle.rms.tolist()))[:None if hypotheses <= 1296 else 2 * k]
@@ -436,7 +438,8 @@ class TestPairwiseGate:
         assert dense_stats["solved_rows"] == k ** m * (1 if solutions else 2)
         assert stats == {**dense_stats, "solved_rows": solved_rows,
                          "gated_rows": gated.gated_rows}
-        check_against_brute_force(profiles, anchors, tol, dense)
+        if hypotheses <= 14_400:
+            check_against_brute_force(profiles, anchors, tol, dense)
 
     def test_collinear_target_stays_feasible(self):
         # The target lies on the line through bs1 and bs2, beyond bs2, so
@@ -594,15 +597,16 @@ class TestTripleGate:
 
     @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e160, 1e300])
     def test_extreme_lengths_are_admitted_untested(self, scale):
-        # Row 1 fails the pairwise test and row 2 only the triple test. Squares
-        # of lengths at the extreme scales leave the normal float range, so
-        # there the triple test admits row 2 without computing.
-        rows = np.array([[1.0, 5.0, 5.0], [1.0, 1.0, 1.0]]) * scale
+        # Row (0, 0, 0), ranges (1, 5, 5), fails the pairwise test and row
+        # (0, 1, 1), ranges (1, 1, 1), only the triple test. Squares of lengths
+        # at the extreme scales leave the normal float range, so there the
+        # triple test admits row (0, 1, 1) without computing.
+        dists = np.array([[1.0, 1.0], [5.0, 1.0], [5.0, 1.0]]) * scale
         anchors = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]) * scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            admitted = association._gate(rows, anchors, np.zeros(2, int), np.array([1e-9 * scale]))
-        assert admitted.tolist() == [False, scale != 1.0]
+            _, flat, _ = association._gate([dists], anchors, np.array([1e-9 * scale]))
+        assert [row in flat for row in (0, 3)] == [False, scale != 1.0]
 
 
 class TestFeasibleCountInvariance:
@@ -773,48 +777,73 @@ class TestGhostProbability:
 
 
 class TestHypothesisCap:
-    SCENE = random_scene(4, 3, Bounds(-150, -150, 150, 150), seed=5)  # K=3, M=4: 216
+    """MAX_SEARCH_NODES: the candidate rows one hypothesis search may examine."""
+
+    SCENE = random_scene(4, 3, Bounds(-150, -150, 150, 150), seed=5)  # K=3, M=4
+
+    def nodes(self, profiles, tol):
+        stats = {}
+        enumerate_feasible(profiles, self.SCENE.bs_positions(), tol, stats=stats)
+        return stats["search_nodes"]
 
     def test_sizes_in_use_are_admitted(self):
-        assert association.MAX_HYPOTHESES >= math.factorial(4) ** 4  # K=4, M=5
+        assert association.MAX_SEARCH_NODES >= 32_750  # the largest tier-1 search examines this
 
     def test_enumeration_refused_above_cap(self, monkeypatch):
-        monkeypatch.setattr(association, "MAX_HYPOTHESES", 215)
-        with pytest.raises(ValueError, match=r"K=3 targets at M=4 anchors give 216 "
-                                             r"association hypotheses, about 6,912 bytes"):
-            enumerate_feasible(exact_profiles(self.SCENE), self.SCENE.bs_positions(), 1e-6)
+        # At tol 1e3 every one of the 216 hypotheses is feasible.
+        nodes = self.nodes(exact_profiles(self.SCENE), 1e3)
+        assert nodes > 216
+        monkeypatch.setattr(association, "MAX_SEARCH_NODES", nodes - 1)
+        with pytest.raises(ValueError, match=rf"K=3 targets at M=4 anchors: the search examined "
+                                             rf"{nodes:,} candidate rows; it is capped at "
+                                             rf"{nodes - 1:,}"):
+            enumerate_feasible(exact_profiles(self.SCENE), self.SCENE.bs_positions(), 1e3)
 
     def test_cap_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(association, "MAX_HYPOTHESES", 216)
-        stats = {}
-        enumerate_feasible(exact_profiles(self.SCENE), self.SCENE.bs_positions(), 1e-6,
-                           stats=stats)
-        assert stats["hypotheses_examined"] == 216
+        nodes = self.nodes(exact_profiles(self.SCENE), 1e3)
+        monkeypatch.setattr(association, "MAX_SEARCH_NODES", nodes)
+        assert self.nodes(exact_profiles(self.SCENE), 1e3) == nodes
 
     def test_bnb_infeasible_scan_refused_above_cap(self, monkeypatch):
-        monkeypatch.setattr(association, "MAX_HYPOTHESES", 215)
+        # The gated search examines nothing; the fresh table's search for the
+        # best max residual examines more than one candidate.
         profiles = [DistanceProfile(p.anchor_id, tuple(d + 5.0 * m for d in p.distances))
                     for m, p in enumerate(exact_profiles(self.SCENE))]
-        with pytest.raises(ValueError, match="K=3 targets at M=4 anchors"):
+        assert self.nodes(profiles, 1e-6) == 0
+        monkeypatch.setattr(association, "MAX_SEARCH_NODES", 1)
+        with pytest.raises(ValueError, match="K=3 targets at M=4 anchors: the search examined 2 "):
             solve_association_bnb(profiles, self.SCENE.bs_positions(), 1e-6)
 
 
 class TestSubproblemCap:
+    """MAX_GATE_ROWS: the partial rows the gate's join holds for one problem."""
+
     SCENE = TestHypothesisCap.SCENE  # K=3, M=4: 81 subproblem rows
 
     def test_sizes_in_use_are_admitted(self):
-        assert association.MAX_SUBPROBLEM_ROWS >= 6 ** 6  # K=6, M=6
+        assert association.MAX_GATE_ROWS >= 6 ** 6  # K=6, M=6 at tol = inf
 
     def test_refused_before_any_row_is_stacked(self, monkeypatch):
-        monkeypatch.setattr(association, "MAX_SUBPROBLEM_ROWS", 80)
+        # At tol = inf the join would hold all 81 rows at anchor 4; it stops
+        # before building them, and nothing reaches the solver.
+        monkeypatch.setattr(association, "MAX_GATE_ROWS", 80)
+        monkeypatch.setattr(association, "solve_ranges_batch", None)
         batch = SubproblemBatch()
-        size = 81 * 4 * association.SUBPROBLEM_BYTES_PER_ROW_ANCHOR
-        with pytest.raises(ValueError, match=f"K=3 targets at M=4 anchors give 81 subproblem "
-                                             f"rows, about {size:,} bytes"):
-            batch.add(exact_profiles(self.SCENE), self.SCENE.bs_positions())
-        assert batch.solve() == []
+        batch.add(exact_profiles(self.SCENE), self.SCENE.bs_positions())
+        with pytest.raises(ValueError, match="K=3 targets at M=4 anchors leave 81 candidate rows "
+                                             "at anchor 4; the gate holds at most 80 per problem"):
+            batch.solve()
+        assert batch.survivors == 0
 
     def test_cap_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(association, "MAX_SUBPROBLEM_ROWS", 81)
+        monkeypatch.setattr(association, "MAX_GATE_ROWS", 81)
         table = subproblem_table(exact_profiles(self.SCENE), self.SCENE.bs_positions())
         assert len(table.rms) == 81
+
+    def test_gated_rows_are_not_counted(self, monkeypatch):
+        # At a tight tolerance the join holds at most 21 rows (7 pairs of
+        # anchors 1-2, each extended by 3 indices), so a cap of 21, far below
+        # K^M = 81, admits the problem.
+        monkeypatch.setattr(association, "MAX_GATE_ROWS", 21)
+        table = subproblem_table(exact_profiles(self.SCENE), self.SCENE.bs_positions(), 1e-6)
+        assert table.solved_rows == 3

@@ -385,22 +385,38 @@ class TestAssociate:
         assert json.loads(out)["num_feasible"] == 4
 
     def test_hypothesis_cap_is_domain_error(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(association, "MAX_HYPOTHESES", 215)
+        # Exact ranges: the search examines one candidate per target slot.
+        monkeypatch.setattr(association, "MAX_SEARCH_NODES", 2)
         path = tmp_path / "k3m4.json"
         save_scene(random_scene(4, 3, Bounds(-150, -150, 150, 150), seed=5), path)
         code, out, err = run_cli(capsys, ["associate", "--scene", str(path)])
         assert code == 1
         assert out == ""
-        assert "K=3 targets at M=4 anchors give 216 association hypotheses" in err
+        assert "K=3 targets at M=4 anchors: the search examined 3 candidate rows" in err
 
     def test_subproblem_cap_is_domain_error(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(association, "MAX_SUBPROBLEM_ROWS", 80)
+        # A tolerance of 1e300 m gates nothing, so the join holds all 81 rows.
+        monkeypatch.setattr(association, "MAX_GATE_ROWS", 80)
         path = tmp_path / "k3m4.json"
         save_scene(random_scene(4, 3, Bounds(-150, -150, 150, 150), seed=5), path)
-        code, out, err = run_cli(capsys, ["associate", "--scene", str(path)])
+        code, out, err = run_cli(capsys, ["associate", "--scene", str(path), "--tol", "1e300"])
         assert code == 1
         assert out == ""
-        assert "K=3 targets at M=4 anchors give 81 subproblem rows" in err
+        assert "K=3 targets at M=4 anchors leave 81 candidate rows at anchor 4" in err
+
+    def test_eight_targets_at_six_bs(self, capsys, tmp_path):
+        # (8!)^5 ~ 1.1e23 hypotheses over 262,144 rows, of which the 8 true
+        # rows survive the gate.
+        scn = random_scene(6, 8, Bounds(-150, -150, 150, 150), seed=1729)
+        save_scene(scn, tmp_path / "k8m6.json")
+        code, out, err = run_cli(capsys, ["associate", "--scene", str(tmp_path / "k8m6.json"),
+                                          "--solver", "bnb"])
+        assert (code, err) == (0, "")
+        best = json.loads(out)["best_solution"]
+        assert best["assignment"] == [list(range(8))] * 6  # profiles list targets in order
+        for estimate, target in zip(best["estimates"], scn.targets):
+            assert math.hypot(estimate["x_m"] - target.position.x,
+                              estimate["y_m"] - target.position.y) <= 1e-6
 
 
 class TestGhostsAndMonteCarlo:
@@ -436,6 +452,15 @@ class TestGhostsAndMonteCarlo:
         assert len(report["records"]) == 10
         csv_rows = list(csv.DictReader((tmp_path / "rep.csv").open()))
         assert len(csv_rows) == 10
+
+    def test_montecarlo_eight_targets_at_six_bs(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, [
+            "montecarlo", "--num-targets", "8", "--num-bs", "6", "--trials", "5", "--seed", "2",
+            "--out", str(tmp_path / "rep.json"),
+        ])
+        assert (code, err) == (0, "")
+        report = json.loads((tmp_path / "rep.json").read_text())
+        assert (report["aggregates"]["completed"], report["aggregates"]["correct_rate"]) == (5, 1.0)
 
     def test_montecarlo_accuracy_outputs(self, capsys, tmp_path):
         out_json = tmp_path / "acc.json"

@@ -25,6 +25,7 @@ from netsense.scene import (
     Scene,
     Target,
     load_scene,
+    random_scene,
     true_distance,
 )
 
@@ -229,6 +230,20 @@ class TestAccuracyExperiment:
         record = run_accuracy_experiment(spec, [1.0]).records[60]
         assert record["correct"] and record["rmse_m"] < 1.0
 
+    def test_infeasible_trial_skips_the_best_residual(self, monkeypatch):
+        # Noisy ranges on a table gated at 1e-9 m: nothing is feasible. The
+        # record needs no best max residual, so the ungated table behind it
+        # is never built.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the best max residual was computed")
+
+        monkeypatch.setattr(association, "_best_max_residual", unreachable)
+        scene, noise = small_scene(), NoiseModel(0.5)
+        ms = measure_distances(scene, LinkBudgetParams(pt_watts=math.inf), 10.0, noise, 7)
+        table = association.subproblem_table(ms.profiles, scene.bs_positions(), 1e-9)
+        record = harness._accuracy_record(0, 7, scene, noise, ms, table)
+        assert (record["infeasible"], record["correct"], record["rmse_m"]) == (True, False, None)
+
     def test_empty_sigma_list_rejected(self):
         spec = ExperimentSpec(random_plan=PLAN, trials=2, seed=0)
         with pytest.raises(ValueError):
@@ -328,33 +343,20 @@ class TestChunking:
         assert log.other == []
         assert sum(t.solved_rows for t in log.tables) == sum(log.stacked)
 
-    def test_gate_frees_dense_rows(self, monkeypatch):
-        # K=2, M=10: 1,024 rows per trial, of which about 2% survive, so a
-        # batch that kept every gated trial's dense rows until its solve
-        # would hold about fifteen trials' rows at once.
-        plan = RandomScenePlan(num_bs=10, num_targets=2, bounds=Bounds(-150, -150, 150, 150))
-        spec = ExperimentSpec(random_plan=plan, trials=30, seed=21, feas_tol_m=1e-4)
-
-        def traced_peak():
-            tracemalloc.start()
-            try:
-                report = run_uniqueness_experiment(spec).to_dict()
-                return tracemalloc.get_traced_memory()[1], report
-            finally:
-                tracemalloc.stop()
-
-        run_uniqueness_experiment(spec)  # imports and caches stay out of the peaks
-        freed, report = traced_peak()
-        gate = association.SubproblemBatch.gate
-
-        def keeping_gate(batch):
-            batch.__dict__.setdefault("held", []).append(batch._dense)
-            gate(batch)
-
-        monkeypatch.setattr(association.SubproblemBatch, "gate", keeping_gate)
-        kept, kept_report = traced_peak()
-        assert kept_report == report
-        assert freed < kept / 2
+    def test_gate_builds_only_survivors(self):
+        # K=8, M=6: 262,144 rows, of which the 8 true rows survive. A gate that
+        # built every row before testing it would peak near 46 MB.
+        scene = random_scene(6, 8, Bounds(-150, -150, 150, 150), seed=1729)
+        batch = association.SubproblemBatch()
+        batch.add(association.exact_profiles(scene), scene.bs_positions(), 1e-4)
+        tracemalloc.start()
+        try:
+            batch.gate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.survivors == 8
+        assert peak < 1e6
 
     def test_tables_hold_only_survivors(self):
         # K=2, M=12: 4,096 rows per trial, of which a handful survive, so

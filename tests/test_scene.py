@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from netsense import scene
 from netsense.errors import SceneGenerationError
 from netsense.scene import (
     Anchor,
@@ -13,6 +14,7 @@ from netsense.scene import (
     Scene,
     Target,
     load_scene,
+    points_are_collinear,
     random_scene,
     save_scene,
     scene_from_dict,
@@ -95,6 +97,30 @@ class TestValidateScene:
     def test_two_bs_scene_with_irs_is_valid(self, scenes_dir):
         # A heterogeneous-anchor layout has no BS triple to check.
         assert validate_scene(load_scene(scenes_dir / "fig5.json")).ok
+
+
+class TestPointsAreCollinear:
+    @pytest.mark.parametrize("points, expected", [
+        ([], True),
+        ([(0.0, 0.0), (1.0, 1.0)], True),
+        ([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (-5.0, -5.0)], True),
+        ([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (0.0, 1.0)], False),  # only the last point spans
+        ([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], False),
+    ])
+    def test_answers(self, points, expected):
+        assert points_are_collinear(np.array(points, float)) == expected
+
+    def test_stops_at_the_first_spanning_triple(self, monkeypatch):
+        points = random_scene(12, 0, BOUNDS, seed=1).bs_positions()  # no collinear triple
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return math.hypot(a.x - b.x, a.y - b.y)
+
+        monkeypatch.setattr(scene, "true_distance", counted)
+        assert not points_are_collinear(points)
+        assert len(calls) == 3  # one triangle's three sides, not all 220 triangles'
 
 
 class TestRandomScene:

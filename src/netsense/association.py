@@ -17,7 +17,8 @@ Blackman and Popoli 1999, layered like the S-D assignment of Deb et al.,
 IEEE TAES 1997), so it never holds the rows it rules out; on exact ranges
 the survivors are about the true rows alone. Only they are trilaterated,
 into a table that never changes once solved. The best max residual
-reported when nothing is feasible comes from a fresh, ungated table.
+reported when nothing is feasible comes from the same search on tables
+gated at a tolerance that grows fourfold until one holds a hypothesis.
 ``SubproblemBatch`` stacks the survivors of many problems into a single
 solver call. Enumeration and branch-and-bound are one depth-first search
 over a table's residuals, which never builds the hypotheses it rules out.
@@ -92,12 +93,6 @@ class GhostReport:
     feasible_solutions: tuple[AssociationSolution, ...]
     unique: bool
     ghost_positions: tuple[Point2, ...]
-
-
-def _as_anchor_array(anchors) -> np.ndarray:
-    if isinstance(anchors, np.ndarray):
-        return np.asarray(anchors, float).reshape(-1, 2)
-    return np.array([[a.x, a.y] for a in anchors], dtype=float).reshape(-1, 2)
 
 
 def _check_inputs(profiles: Sequence[DistanceProfile], anchors_xy: np.ndarray) -> tuple[int, int]:
@@ -370,7 +365,7 @@ class SubproblemBatch:
 
     def add(self, profiles: Sequence[DistanceProfile], anchors, tol: float = math.inf) -> None:
         """Keep one problem for the next gate; ``tol`` = inf gates nothing."""
-        anchors_xy = _as_anchor_array(anchors)
+        anchors_xy = np.asarray(anchors, float).reshape(-1, 2)
         n_targets, n_anchors = _check_inputs(profiles, anchors_xy)
         if self._dists and len(self._dists[0]) != n_anchors:
             raise ValueError("every problem in a batch needs the same anchor count")
@@ -424,10 +419,13 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> tuple[list[tuple
     than RESIDUAL_TIE_EPS_M, and exactly the hypotheses within that band of
     the optimum are returned. Each result is (max_residual_m, assignment,
     table row per slot); they come with the number of candidates examined.
-    Raises ValueError when ``tol`` is looser than the table's gate, which
-    left rows unsolved that such a search would need, and once the search
-    examines more than MAX_SEARCH_NODES candidates.
+    Raises ValueError when ``tol`` is NaN or negative, when it is looser than
+    the table's gate, which left rows unsolved that such a search would
+    need, and once the search examines more than MAX_SEARCH_NODES
+    candidates.
     """
+    if not tol >= 0:  # 0 and inf are allowed
+        raise ValueError(f"feasibility tolerance must be nonnegative, got {tol}")
     if tol > table.gate_tol:
         raise ValueError(f"a search at tol {tol} needs rows that the table's gate at tol "
                          f"{table.gate_tol} left unsolved")
@@ -480,9 +478,22 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> tuple[list[tuple
     return found, nodes
 
 
-def _best_max_residual(profiles: Sequence[DistanceProfile], anchors) -> float:
-    """Smallest max slot residual over all hypotheses, searched on a fresh ungated table."""
-    found, _ = _search(subproblem_table(profiles, anchors), math.inf, best=True)
+def _best_max_residual(profiles: Sequence[DistanceProfile], anchors,
+                       table: _SubproblemTable, tol: float) -> float:
+    """Smallest max slot residual over all hypotheses, when none meets ``tol``.
+
+    A table gated at t holds every row whose rms is at most t, with bitwise
+    the rms an ungated table gives, so a best search at t on it finds the
+    exact optimum once that is at most t. The search runs on ``table`` when
+    its gate is looser than ``tol``, then on fresh tables gated at 4 times
+    the last gate (at least RESIDUAL_TIE_EPS_M, so a gate of 0 grows too)
+    until one holds a hypothesis; the last, at inf, gates nothing.
+    """
+    gate = table.gate_tol
+    found = _search(table, gate, best=True)[0] if gate > tol else []
+    while not found and gate < math.inf:
+        gate = max(4 * gate, RESIDUAL_TIE_EPS_M)
+        found, _ = _search(subproblem_table(profiles, anchors, gate), gate, best=True)
     return min(f[0] for f in found)
 
 
@@ -522,10 +533,10 @@ def enumerate_feasible(
     MAX_GATE_ROWS and MAX_SEARCH_NODES).
 
     When given, ``stats`` receives bookkeeping: hypotheses_examined and
-    best_max_residual_m over the whole search space, search_nodes, the
-    candidates the search examined, the table's gated_rows, and solved_rows,
-    the rows given to the solver: the table's, plus K^M when nothing is
-    feasible and the best max residual needs every row.
+    best_max_residual_m over the whole search space (see
+    ``_best_max_residual`` when nothing is feasible), search_nodes, the
+    candidates the search examined, and the table's gated_rows and
+    solved_rows, the rows given to the solver.
     ``table`` is the subproblem table of these profiles and anchors, already
     validated and solved (see ``SubproblemBatch``) and gated at no tighter a
     tolerance than ``feas_tol_m``; without it the table is built here, gated
@@ -551,8 +562,9 @@ def enumerate_feasible(
         stats["hypotheses_examined"] = math.factorial(table.k) ** (table.m - 1)
         stats["search_nodes"] = nodes
         # A hypothesis below the best solution's max residual would be feasible too.
-        stats["best_max_residual_m"] = best if solutions else _best_max_residual(profiles, anchors)
-        stats["solved_rows"] = table.solved_rows + (0 if solutions else table.k ** table.m)
+        stats["best_max_residual_m"] = (
+            best if solutions else _best_max_residual(profiles, anchors, table, feas_tol_m))
+        stats["solved_rows"] = table.solved_rows
         stats["gated_rows"] = table.gated_rows
     return solutions
 
@@ -593,14 +605,15 @@ def solve_association_bnb(
 
     See ``_best_solution``. When nothing is feasible, the
     InfeasibleAssociationError carries the exact best max residual, from the
-    same search with no tolerance over a fresh, ungated table.
+    same search on tables gated at a growing tolerance (see
+    ``_best_max_residual``).
     ``table`` is as in ``enumerate_feasible``.
     """
     if table is None:
         table = subproblem_table(profiles, anchors, feas_tol_m)
     solution = _best_solution(table, feas_tol_m)
     if solution is None:
-        raise _infeasible(feas_tol_m, _best_max_residual(profiles, anchors))
+        raise _infeasible(feas_tol_m, _best_max_residual(profiles, anchors, table, feas_tol_m))
     return solution
 
 

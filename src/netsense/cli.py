@@ -60,14 +60,17 @@ def _default_seed() -> int:
         raise UsageError(f"NETSENSE_SEED must be an integer, got {raw!r}") from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _finite_float(text: str) -> float:
@@ -203,10 +206,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
 
     p = sub.add_parser("ghosts", help="Monte Carlo ghost-probability estimate")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--num-bs", type=int, default=3)
-    p.add_argument("--num-targets", type=_positive_int, default=2)
+    p.add_argument("--num-bs", type=_int_at_least(3), default=3)
+    p.add_argument("--num-targets", type=_int_at_least(1), default=2)
     p.add_argument("--bounds", type=_finite_float, nargs=4, default=[-150.0, -150.0, 150.0, 150.0],
                    metavar=("XMIN", "YMIN", "XMAX", "YMAX"))
     p.add_argument("--tol", type=_positive_float, default=1e-4, help="feasibility tolerance [m]")
@@ -220,19 +223,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("montecarlo", help="uniqueness or accuracy experiment")
     p.add_argument("--mode", choices=("uniqueness", "accuracy"), default="uniqueness")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--sigma-list", type=_sigma_list, default="0.0,0.01,0.1",
                    help="comma-separated range sigmas [m] (accuracy mode)")
     p.add_argument("--scene", default=None, help="fixed scene JSON (default: random per trial)")
-    p.add_argument("--num-bs", type=int, default=3)
-    p.add_argument("--num-targets", type=_positive_int, default=2)
+    p.add_argument("--num-bs", type=_int_at_least(3), default=3)
+    p.add_argument("--num-targets", type=_int_at_least(1), default=2)
     p.add_argument("--bounds", type=_finite_float, nargs=4, default=[-150.0, -150.0, 150.0, 150.0],
                    metavar=("XMIN", "YMIN", "XMAX", "YMAX"))
     p.add_argument("--tol", type=_positive_float, default=1e-4, help="feasibility tolerance [m]")
     p.add_argument("--quantize", action="store_true",
                    help="round ranges to the c/(2B) resolution grid")
-    p.add_argument("--workers", type=_positive_int, default=1, help="parallel trial workers")
+    p.add_argument("--workers", type=_int_at_least(1), default=1, help="parallel trial workers")
     p.add_argument("--out", default="report.json", help="JSON report path")
     p.add_argument("--trials-csv", default=None,
                    help="per-trial CSV path (default: report path with .csv suffix)")
@@ -435,10 +438,10 @@ def _anchor_positions(scn: scene.Scene) -> dict[str, scene.Point2]:
 
 def _cmd_localize(opts: dict) -> None:
     scn = scene.load_scene(opts["scene"])
-    rows = _read_csv(opts["measurements"], ["anchor_id", "distance_m"])
+    path = opts["measurements"]
+    rows = _read_csv(path, ["anchor_id", "distance_m"])
     measurements = [
-        localization.RangeMeasurement(
-            row["anchor_id"], _csv_distance(opts["measurements"], i, row, "distance_m"))
+        localization.RangeMeasurement(row["anchor_id"], _csv_distance(path, i, row, "distance_m"))
         for i, row in enumerate(rows, start=1)
     ]
     positions = _anchor_positions(scn)
@@ -446,7 +449,7 @@ def _cmd_localize(opts: dict) -> None:
             if m.anchor_id in positions}
     missing = [m.anchor_id for m in measurements if m.anchor_id not in positions]
     if missing:
-        raise ValueError(f"measurement references unknown anchors: {missing}")
+        raise ValueError(f"{path}: measurements reference unknown anchors: {missing}")
     est = localization.trilaterate(used, measurements)
     print(f"x_m,{est.position.x!r}")
     print(f"y_m,{est.position.y!r}")
@@ -464,10 +467,10 @@ def _profiles_from_csv(path: str, scn: scene.Scene) -> list[association.Distance
     bs_ids = [a.id for a in scn.base_stations]
     missing = [i for i in bs_ids if i not in by_anchor]
     if missing:
-        raise ValueError(f"profile CSV is missing base stations: {missing}")
+        raise ValueError(f"{path}: profiles are missing base stations: {missing}")
     extra = sorted(set(by_anchor) - set(bs_ids))
     if extra:
-        raise ValueError(f"profile CSV references unknown base stations: {extra}")
+        raise ValueError(f"{path}: profiles reference unknown base stations: {extra}")
     return [association.DistanceProfile(i, tuple(by_anchor[i])) for i in bs_ids]
 
 
@@ -550,11 +553,10 @@ def _cmd_irs(opts: dict) -> None:
         raise ValueError("scene has no IRS anchor")
     path = opts["measurements"]
     rows = _read_csv(path, ["bs_id", "irs_id", "direct_roundtrip_m", "composite_roundtrip_m"])
-    if not rows:
-        raise ValueError("measurement CSV has no rows")
     referenced_irs = {row["irs_id"] for row in rows}
     if len(referenced_irs) != 1 or not referenced_irs <= irs_ids:
-        raise ValueError(f"measurements must reference exactly one scene IRS, got {sorted(referenced_irs)}")
+        raise ValueError(f"{path}: measurements must reference exactly one scene IRS, "
+                         f"got {sorted(referenced_irs)}")
     irs_id = referenced_irs.pop()
     irs_pos = positions[irs_id]
 
@@ -563,7 +565,7 @@ def _cmd_irs(opts: dict) -> None:
     for i, row in enumerate(rows, start=1):
         bs_id = row["bs_id"]
         if bs_id not in positions:
-            raise ValueError(f"unknown BS id in measurements: {bs_id}")
+            raise ValueError(f"{path}: row {i}: unknown BS id {bs_id!r}")
         m = irs.IrsPathMeasurement(
             bs_id=bs_id,
             irs_id=irs_id,

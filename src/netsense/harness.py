@@ -380,23 +380,26 @@ def accuracy_aggregates(records: Sequence[dict]) -> dict:
     return {"levels": levels}
 
 
+def _run_experiment(kind: str, make_record, aggregate, spec: ExperimentSpec,
+                    noises: Sequence[NoiseModel], workers: int) -> ExperimentReport:
+    """The report of every seeded trial at each noise level, in order of sigma, then trial."""
+    seeds = _trial_seeds(spec.seed, spec.trials)
+    jobs = sorted(((noise, t, s) for noise in noises for t, s in enumerate(seeds)),
+                  key=lambda job: (job[0].range_sigma_m, job[1]))
+    records = _run_trials(make_record, spec, jobs, workers)  # in job order
+    return ExperimentReport(kind=kind, spec=spec.to_dict(), records=tuple(records),
+                            aggregates=aggregate(records))
+
+
 def run_uniqueness_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
     """Exact-range association uniqueness over seeded trials.
 
     Trials without full detection are recorded but excluded from the
     headline ghost fraction.
     """
-    seeds = _trial_seeds(spec.seed, spec.trials)
     exact = NoiseModel(0.0, False, spec.noise.bandwidth_hz)
-    jobs = [(exact, t, s) for t, s in enumerate(seeds)]
-    records = sorted(_run_trials(_uniqueness_record, spec, jobs, workers),
-                     key=lambda r: r["trial"])
-    return ExperimentReport(
-        kind="uniqueness",
-        spec=spec.to_dict(),
-        records=tuple(records),
-        aggregates=uniqueness_aggregates(records),
-    )
+    return _run_experiment("uniqueness", _uniqueness_record, uniqueness_aggregates, spec,
+                           [exact], workers)
 
 
 def run_accuracy_experiment(
@@ -409,15 +412,5 @@ def run_accuracy_experiment(
         raise ValueError("sigma_list_m must not be empty")
     noises = [NoiseModel(float(sigma), spec.noise.quantize_to_resolution,
                          spec.noise.bandwidth_hz) for sigma in sigma_list_m]
-    seeds = _trial_seeds(spec.seed, spec.trials)
-    jobs = [(noise, t, s) for noise in noises for t, s in enumerate(seeds)]
-    records = sorted(
-        _run_trials(_accuracy_record, spec, jobs, workers),
-        key=lambda r: (r["sigma_m"], r["trial"]),
-    )
-    return ExperimentReport(
-        kind="accuracy",
-        spec=spec.to_dict(),
-        records=tuple(records),
-        aggregates=accuracy_aggregates(records),
-    )
+    return _run_experiment("accuracy", _accuracy_record, accuracy_aggregates, spec, noises,
+                           workers)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InconsistentMeasurementError
-from .localization import MAX_ITERATIONS, STEP_TOL_M, PositionEstimate, RangeMeasurement, solve_ranges
+from .localization import PositionEstimate, RangeMeasurement, solve_ranges
 from .scene import Point2, true_distance
 
 NEGATIVE_L2_TOL_M = 1e-6
@@ -60,15 +60,14 @@ def irs_target_distance(m: IrsPathMeasurement, bs_pos: Point2, irs_pos: Point2) 
 
 
 def synthesize_path_measurement(
-    bs_pos: Point2, irs_pos: Point2, target_pos: Point2,
-    bs_id: str = "bs", irs_id: str = "irs",
+    bs_pos: Point2, irs_pos: Point2, target_pos: Point2, bs_id: str = "bs",
 ) -> IrsPathMeasurement:
     """Exact path lengths for a known geometry (test and simulation helper)."""
     l1 = true_distance(bs_pos, target_pos)
     l2 = true_distance(target_pos, irs_pos)
     l3 = true_distance(irs_pos, bs_pos)
     return IrsPathMeasurement(
-        bs_id=bs_id, irs_id=irs_id,
+        bs_id=bs_id, irs_id="irs",
         direct_roundtrip_m=2.0 * l1,
         composite_roundtrip_m=l1 + l2 + l3,
     )
@@ -79,8 +78,6 @@ def localize_with_heterogeneous_anchors(
     bs_measurements: Sequence[RangeMeasurement],
     irs_pos: Point2,
     irs_distance_m: float,
-    tol_m: float = STEP_TOL_M,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> PositionEstimate:
     """Trilaterate using BS ranges plus one recovered IRS range.
 
@@ -103,4 +100,4 @@ def localize_with_heterogeneous_anchors(
         [[bs_positions[i].x, bs_positions[i].y] for i in ids] + [[irs_pos.x, irs_pos.y]]
     )
     distances = np.array([m.distance_m for m in bs_measurements] + [irs_distance_m])
-    return solve_ranges(anchors_xy, distances, tol_m, max_iterations)
+    return solve_ranges(anchors_xy, distances)

@@ -144,7 +144,6 @@ def _gauss_newton(
     ranges: np.ndarray,
     step_tol: np.ndarray,
     improve_tol: np.ndarray,
-    max_iterations: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized Gauss-Newton with step halving over B range problems.
 
@@ -152,8 +151,9 @@ def _gauss_newton(
     lowers the row's rms is kept and the next step is taken from it;
     otherwise the row halves its last step from its best point. A row stops
     when its step falls below ``step_tol`` or a kept trial gains less than
-    ``improve_tol`` (both per row). A row's arithmetic never depends on the
-    others, so its result is the same in any batch.
+    ``improve_tol`` (both per row), or after MAX_ITERATIONS. A row's
+    arithmetic never depends on the others, so its result is the same in
+    any batch.
     """
     n_rows = len(start)
     best, trial = start, start.copy()
@@ -163,7 +163,7 @@ def _gauss_newton(
     iterations = np.zeros(n_rows, int)
     live = np.arange(n_rows)
 
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         if not len(live):
             break
         diff = trial[live, None, :] - local[live]
@@ -194,8 +194,6 @@ def _gauss_newton(
 def solve_ranges_batch(
     anchors_xy: np.ndarray,
     distances: np.ndarray,
-    tol_m: float = STEP_TOL_M,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Solve B independent range problems, each against its own anchor set.
 
@@ -209,7 +207,7 @@ def solve_ranges_batch(
         (positions (B, 2), residual_rms (B,), converged (B,), iterations (B,)).
         Each row starts from its linearized least-squares position and ends
         at the lowest residual its Gauss-Newton pass reached; ``converged``
-        is false only for a row stopped by ``max_iterations``. Each row's
+        is false only for a row stopped by MAX_ITERATIONS. Each row's
         result is bitwise the same whichever batch it is solved in, so
         stacking the rows of many problems into one call changes nothing
         but the speed.
@@ -243,21 +241,13 @@ def solve_ranges_batch(
     centre, scale, local = _frame(anchors_xy)
     ranges = distances / scale[:, None]
     p, rms, converged, iterations = _gauss_newton(
-        _linear_start(local, ranges), local, ranges,
-        tol_m / scale, IMPROVE_TOL_M / scale, max_iterations)
+        _linear_start(local, ranges), local, ranges, STEP_TOL_M / scale, IMPROVE_TOL_M / scale)
     return centre + scale[:, None] * p, rms * scale, converged, iterations
 
 
-def solve_ranges(
-    anchors_xy: np.ndarray,
-    distances: np.ndarray,
-    tol_m: float = STEP_TOL_M,
-    max_iterations: int = MAX_ITERATIONS,
-) -> PositionEstimate:
+def solve_ranges(anchors_xy: np.ndarray, distances: np.ndarray) -> PositionEstimate:
     """Single range problem; see solve_ranges_batch."""
-    positions, rms, converged, iterations = solve_ranges_batch(
-        anchors_xy, np.atleast_2d(distances), tol_m, max_iterations
-    )
+    positions, rms, converged, iterations = solve_ranges_batch(anchors_xy, np.atleast_2d(distances))
     return PositionEstimate(
         position=Point2(float(positions[0, 0]), float(positions[0, 1])),
         residual_rms_m=float(rms[0]),
@@ -266,12 +256,8 @@ def solve_ranges(
     )
 
 
-def trilaterate(
-    anchors: Mapping[str, Point2],
-    measurements: Sequence[RangeMeasurement],
-    tol_m: float = STEP_TOL_M,
-    max_iterations: int = MAX_ITERATIONS,
-) -> PositionEstimate:
+def trilaterate(anchors: Mapping[str, Point2],
+                measurements: Sequence[RangeMeasurement]) -> PositionEstimate:
     """Estimate a position from >= 3 anchor ranges, matched by anchor id.
 
     Raises GeometryError when the anchors are collinear and ValueError when
@@ -284,7 +270,7 @@ def trilaterate(
         raise ValueError("measurements must cover every anchor exactly once")
     anchors_xy = np.array([[anchors[i].x, anchors[i].y] for i in ids])
     distances = np.array([m.distance_m for m in measurements])
-    return solve_ranges(anchors_xy, distances, tol_m, max_iterations)
+    return solve_ranges(anchors_xy, distances)
 
 
 def triangulate(a1: Point2, bearing1: float, a2: Point2, bearing2: float) -> Point2:

@@ -36,9 +36,6 @@ class Point2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
 
 @dataclass(frozen=True)
 class Anchor:
@@ -127,24 +124,16 @@ def collinear_triples(points, tol: float = DEFAULT_COLLINEARITY_TOL):
             yield i, j, k
 
 
-def find_collinear_bs_triples(
-    scene: Scene, tol: float = DEFAULT_COLLINEARITY_TOL
-) -> list[tuple[str, str, str]]:
-    """Ids of every active-BS triple that is collinear within tolerance."""
-    ids = [a.id for a in scene.base_stations]
-    return [tuple(ids[n] for n in triple)
-            for triple in collinear_triples(scene.bs_positions(), tol)]
-
-
-def points_are_collinear(points: np.ndarray, tol: float = DEFAULT_COLLINEARITY_TOL) -> bool:
+def points_are_collinear(points: np.ndarray) -> bool:
     """True when an entire point set fails to span the plane.
 
-    The set is collinear when every triple is collinear within tolerance,
-    so the first triple that spans the plane decides. Fewer than three
-    points are always considered collinear.
+    The set is collinear when every triple is collinear within
+    DEFAULT_COLLINEARITY_TOL, so the first triple that spans the plane
+    decides. Fewer than three points are always considered collinear.
     """
     pts = [Point2(float(x), float(y)) for x, y in np.asarray(points, dtype=float).reshape(-1, 2)]
-    return all(_collinear(p, q, r, tol) for p, q, r in itertools.combinations(pts, 3))
+    return all(_collinear(p, q, r, DEFAULT_COLLINEARITY_TOL)
+               for p, q, r in itertools.combinations(pts, 3))
 
 
 @dataclass(frozen=True)
@@ -158,7 +147,7 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_scene(scene: Scene, collinearity_tol: float = DEFAULT_COLLINEARITY_TOL) -> ValidationReport:
+def validate_scene(scene: Scene) -> ValidationReport:
     """Check a scene for duplicate ids, stray targets, and collinear BS triples.
 
     Validation never raises; every problem found is reported as one line.
@@ -180,8 +169,9 @@ def validate_scene(scene: Scene, collinearity_tol: float = DEFAULT_COLLINEARITY_
         if not scene.bounds.contains(t.position):
             violations.append(f"target {t.id} outside bounds at ({t.position.x}, {t.position.y})")
 
-    for ids in find_collinear_bs_triples(scene, collinearity_tol):
-        violations.append(f"collinear BS triple: {', '.join(ids)}")
+    ids = [a.id for a in scene.base_stations]
+    for triple in collinear_triples(scene.bs_positions()):
+        violations.append(f"collinear BS triple: {', '.join(ids[n] for n in triple)}")
 
     return ValidationReport(tuple(violations))
 

@@ -65,31 +65,24 @@ def zadoff_chu(length: int, root: int) -> ComplexSequence:
     return ComplexSequence(np.exp(1j * phase), label=f"zc-N{length}-u{root}")
 
 
-def ofdm_symbol(
-    num_subcarriers: int,
-    cp_length: int,
-    seed: int,
-    constellation_order: int = 4,
-) -> ComplexSequence:
-    """One CP-OFDM symbol carrying random PSK data on every subcarrier.
+def ofdm_symbol(num_subcarriers: int, cp_length: int, seed: int) -> ComplexSequence:
+    """One CP-OFDM symbol carrying random QPSK data on every subcarrier.
 
-    Draws num_subcarriers independent symbols from a seeded RNG (QPSK by
-    default), applies the inverse DFT with unitary power scaling, prepends a
-    cyclic prefix of cp_length samples, and normalizes to unit average power.
-    Deterministic for a given seed.
+    Draws num_subcarriers independent QPSK symbols from a seeded RNG, applies
+    the inverse DFT with unitary power scaling, prepends a cyclic prefix of
+    cp_length samples, and normalizes to unit average power. Deterministic
+    for a given seed.
     """
     n = num_subcarriers
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError("num_subcarriers must be a power of two")
     if not 0 <= cp_length < n:
         raise ValueError("cp_length must satisfy 0 <= cp_length < num_subcarriers")
-    if constellation_order < 2:
-        raise ValueError("constellation_order must be at least 2")
 
     rng = np.random.default_rng(seed)
-    points = rng.integers(0, constellation_order, size=n)
-    # Unit-modulus PSK constellation; order 4 gives QPSK at odd multiples of pi/4.
-    symbols = np.exp(1j * (np.pi / constellation_order + 2.0 * np.pi * points / constellation_order))
+    points = rng.integers(0, 4, size=n)
+    # QPSK: unit modulus at odd multiples of pi/4.
+    symbols = np.exp(1j * (np.pi / 4 + 2.0 * np.pi * points / 4))
     body = np.fft.ifft(symbols) * math.sqrt(n)
     samples = np.concatenate([body[n - cp_length:], body]) if cp_length else body
     return ComplexSequence(samples, label=f"ofdm-N{n}-cp{cp_length}-seed{seed}")

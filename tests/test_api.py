@@ -1,5 +1,7 @@
-"""The public names of the package and the CLI's option keys stay stable."""
+"""The public names of the package, its functions' parameters and the CLI's option keys
+stay stable: a new keyword option is a deliberate change to these lists."""
 
+import inspect
 import types
 
 import netsense
@@ -26,6 +28,50 @@ PUBLIC_NAMES = [
     "validate_scene", "zadoff_chu",
 ]
 
+# Each public function's parameter names, in order.
+PARAMETERS = {
+    "ambiguity": ["seq", "doppler_bins", "mode"],
+    "build_ghost_report": ["solutions", "ground_truth", "match_radius_m"],
+    "circle_intersections": ["c1", "r1", "c2", "r2"],
+    "covered": ["params", "snr_min_db", "distance_m"],
+    "db_to_linear": ["db"],
+    "enumerate_feasible": ["profiles", "anchors", "feas_tol_m", "stats", "table"],
+    "exact_profiles": ["scene"],
+    "ghost_probability": ["num_trials", "num_bs", "num_targets", "bounds", "feas_tol_m", "seed",
+                          "scene"],
+    "guard_interval": ["max_range_m"],
+    "irs_target_distance": ["m", "bs_pos", "irs_pos"],
+    "linear_to_db": ["x"],
+    "load_scene": ["path"],
+    "localize_with_heterogeneous_anchors": ["bs_positions", "bs_measurements", "irs_pos",
+                                            "irs_distance_m"],
+    "max_sensing_range": ["params", "snr_min_db"],
+    "measure_distances": ["scene", "link", "snr_min_db", "noise", "seed"],
+    "ofdm_symbol": ["num_subcarriers", "cp_length", "seed"],
+    "random_scene": ["num_bs", "num_targets", "bounds", "rcs_dbsm", "seed", "collinearity_tol",
+                     "max_attempts"],
+    "range_jacobian": ["p", "anchors_xy"],
+    "range_residuals": ["p", "anchors_xy", "distances"],
+    "range_resolution": ["bandwidth_hz"],
+    "run_accuracy_experiment": ["spec", "sigma_list_m", "workers"],
+    "run_uniqueness_experiment": ["spec", "workers"],
+    "save_scene": ["scene", "path"],
+    "scene_from_dict": ["data"],
+    "scene_to_dict": ["scene"],
+    "sensing_snr": ["params", "range_m"],
+    "sidelobe_metrics": ["surface", "mainlobe_exclusion"],
+    "solve_association": ["profiles", "anchors", "feas_tol_m"],
+    "solve_association_bnb": ["profiles", "anchors", "feas_tol_m", "table"],
+    "solve_ranges": ["anchors_xy", "distances"],
+    "solve_ranges_batch": ["anchors_xy", "distances"],
+    "synthesize_path_measurement": ["bs_pos", "irs_pos", "target_pos", "bs_id"],
+    "triangulate": ["a1", "bearing1", "a2", "bearing2"],
+    "trilaterate": ["anchors", "measurements"],
+    "true_distance": ["a", "b"],
+    "validate_scene": ["scene"],
+    "zadoff_chu": ["length", "root"],
+}
+
 LINK_OPTIONS = [
     "bandwidth_hz", "carrier_hz", "gp_db", "gr_dbi", "gt_dbi", "noise_factor_db",
     "pt_watts", "rcs_dbsm", "snr_min_db", "temperature_k",
@@ -49,6 +95,12 @@ def test_public_names():
     names = sorted(n for n, v in vars(netsense).items()
                    if not n.startswith("_") and not isinstance(v, types.ModuleType))
     assert names == PUBLIC_NAMES
+
+
+def test_public_function_parameters():
+    functions = {n: v for n, v in vars(netsense).items()
+                 if not n.startswith("_") and inspect.isfunction(v)}
+    assert {n: list(inspect.signature(f).parameters) for n, f in functions.items()} == PARAMETERS
 
 
 def test_cli_option_keys():

@@ -25,6 +25,8 @@ from netsense.errors import (
     InfeasibleAssociationError,
     UnequalCardinalityError,
 )
+from netsense.harness import NoiseModel, measure_distances
+from netsense.link_budget import LinkBudgetParams
 from netsense.localization import PositionEstimate, solve_ranges_batch
 from netsense.scene import Bounds, Point2, load_scene, random_scene
 
@@ -332,9 +334,8 @@ def check_against_brute_force(profiles, anchors, tol, table):
         assert s.estimates == tuple(table.estimate(f) for f in flats)
     # Each solution ends at a distinct candidate of the last slot.
     assert stats.pop("search_nodes") >= len(feasible)
-    # With nothing feasible, the best max residual solves a fresh table's rows too.
     assert stats == {"hypotheses_examined": len(oracle), "best_max_residual_m": best,
-                     "solved_rows": len(table.rms) * (1 if feasible else 2), "gated_rows": 0}
+                     "solved_rows": len(table.rms), "gated_rows": 0}
 
     if not feasible:
         for solve in (solve_association, solve_association_bnb):
@@ -434,9 +435,8 @@ class TestPairwiseGate:
         solutions = enumerate_feasible(profiles, anchors, tol, stats=stats)
         assert solutions == enumerate_feasible(profiles, anchors, tol, stats=dense_stats,
                                                table=dense)
-        solved_rows = k ** m - gated.gated_rows + (0 if solutions else k ** m)
-        assert dense_stats["solved_rows"] == k ** m * (1 if solutions else 2)
-        assert stats == {**dense_stats, "solved_rows": solved_rows,
+        assert dense_stats["solved_rows"] == k ** m
+        assert stats == {**dense_stats, "solved_rows": k ** m - gated.gated_rows,
                          "gated_rows": gated.gated_rows}
         if hypotheses <= 14_400:
             check_against_brute_force(profiles, anchors, tol, dense)
@@ -459,8 +459,8 @@ class TestPairwiseGate:
         stats = {}
         assert enumerate_feasible(profiles, anchors, 1e-12, stats=stats) == []
         assert stats["best_max_residual_m"] == best
-        # The gated table's survivors, then every row of the fresh table.
-        assert stats["solved_rows"] == 2 * 3 ** 4 - stats["gated_rows"]
+        # The gated table's survivors alone.
+        assert stats["solved_rows"] == 3 ** 4 - stats["gated_rows"]
         assert stats["gated_rows"] > 0
         for solve in (solve_association, solve_association_bnb):
             with pytest.raises(InfeasibleAssociationError) as err:
@@ -476,7 +476,7 @@ class TestPairwiseGate:
         stats = {}
         assert enumerate_feasible(profiles, EXAMPLE_BS_XY, 1e-6, stats=stats) == []
         assert stats["best_max_residual_m"] == DenseTable(profiles, EXAMPLE_BS_XY).rms[0]
-        assert (stats["solved_rows"], stats["gated_rows"]) == (1, 1)
+        assert (stats["solved_rows"], stats["gated_rows"]) == (0, 1)
 
     def test_looser_search_is_refused(self):
         profiles, anchors = noisy_problem(12, 3, 4, 0.0)
@@ -666,6 +666,28 @@ class TestSearchMemory:
         assert len(solutions) >= 1
         assert peak < 1 << 20
 
+    def test_infeasible_best_residual_peak_heap_is_small(self):
+        # K=8, M=6 at sigma 1 m: nothing meets 1e-4 m. An ungated table of
+        # all K^M = 262,144 rows peaked near 230 MB of heap; tables gated at
+        # a growing tolerance reach the same best max residual from a few rows.
+        scene = random_scene(6, 8, Bounds(-150, -150, 150, 150), seed=1730)
+        ms = measure_distances(scene, LinkBudgetParams(pt_watts=math.inf), 10.0,
+                               NoiseModel(1.0), 1730)
+        profiles, anchors = ms.profiles, scene.bs_positions()
+        stats = {}
+        tracemalloc.start()
+        try:
+            assert enumerate_feasible(profiles, anchors, 1e-4, stats=stats) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert stats["best_max_residual_m"] == 0.9291772067809746
+        for solve in (solve_association, solve_association_bnb):
+            with pytest.raises(InfeasibleAssociationError) as err:
+                solve(profiles, anchors, 1e-4)
+            assert err.value.best_residual_m == 0.9291772067809746
+
 
 class TestSubproblemBatch:
     def test_stacked_tables_equal_single_tables(self):
@@ -723,6 +745,34 @@ class TestNonFiniteProfiles:
     def test_distance_profile_rejects(self, bad):
         with pytest.raises(ValueError, match="bs2.*finite"):
             DistanceProfile("bs2", (1.0, bad))
+
+
+class TestToleranceBoundary:
+    @pytest.mark.parametrize("tol", [math.nan, -1e-6, -math.inf])
+    def test_nan_or_negative_tolerance_is_refused(self, tol):
+        profiles = example1_profiles()
+        table = subproblem_table(profiles, EXAMPLE_BS_XY)
+        searches = [
+            lambda: enumerate_feasible(profiles, EXAMPLE_BS_XY, tol),
+            lambda: enumerate_feasible(profiles, EXAMPLE_BS_XY, tol, table=table),
+            lambda: solve_association(profiles, EXAMPLE_BS_XY, tol),
+            lambda: solve_association_bnb(profiles, EXAMPLE_BS_XY, tol),
+            lambda: solve_association_bnb(profiles, EXAMPLE_BS_XY, tol, table=table),
+            lambda: ghost_probability(2, 3, 2, Bounds(-10, -10, 10, 10), feas_tol_m=tol),
+        ]
+        for search in searches:
+            with pytest.raises(ValueError, match=f"tolerance must be nonnegative, got {tol}"):
+                search()
+
+    def test_zero_tolerance_reports_the_best_residual(self):
+        # The gates of the best residual's search grow from 0, so they end.
+        profiles, anchors = noisy_problem(11, 3, 4, 0.5)
+        best = min(h[0] for h in brute_force_hypotheses(DenseTable(profiles, anchors)))
+        stats = {}
+        assert enumerate_feasible(profiles, anchors, 0.0, stats=stats) == []
+        assert stats["best_max_residual_m"] == best
+        with pytest.raises(InfeasibleAssociationError, match="no hypothesis met tol 0.0"):
+            solve_association_bnb(profiles, anchors, 0.0)
 
 
 class TestGhostReport:

@@ -94,6 +94,10 @@ class TestUsage:
         (["associate", "--scene", "SCENE", "--match-radius", "-1"], "--match-radius"),
         (["ghosts", "--num-targets", "0"], "--num-targets"),
         (["montecarlo", "--num-targets", "0"], "--num-targets"),
+        (["montecarlo", "--num-bs", "2"], "--num-bs"),
+        (["ghosts", "--num-bs", "2"], "--num-bs"),
+        (["montecarlo", "--trials", "0"], "--trials"),
+        (["ghosts", "--trials", "-1"], "--trials"),
     ])
     def test_bad_float_flag_is_usage_error(self, capsys, tmp_path, scenes_dir, argv, flag):
         argv = [str(scenes_dir / "example1.json") if a == "SCENE" else a for a in argv]
@@ -282,6 +286,16 @@ class TestLocalize:
         assert code == 1
         assert f"{meas}: row 2" in err
 
+    def test_unknown_anchor_names_file(self, capsys, tmp_path, scenes_dir):
+        meas = tmp_path / "meas.csv"
+        meas.write_text("anchor_id,distance_m\nbs1,7.0\nbs9,6.0\nbs3,8.0\n")
+        code, out, err = run_cli(capsys, [
+            "localize", "--scene", str(scenes_dir / "example1.json"),
+            "--measurements", str(meas),
+        ])
+        assert (code, out) == (1, "")
+        assert f"{meas}: measurements reference unknown anchors: ['bs9']" in err
+
     def test_missing_header_is_domain_error(self, capsys, tmp_path, scenes_dir):
         meas = tmp_path / "meas.csv"
         meas.write_text("a,b\n1,2\n")
@@ -360,6 +374,20 @@ class TestAssociate:
         assert code == 1
         assert out == ""
         assert f"{prof}: row 4" in err
+
+    @pytest.mark.parametrize("rows, message", [
+        ("bs1,1.0\nbs2,1.0\n", "profiles are missing base stations: ['bs3']"),
+        ("bs1,1.0\nbs2,1.0\nbs3,1.0\nbs9,1.0\n",
+         "profiles reference unknown base stations: ['bs9']"),
+    ])
+    def test_profile_base_stations_name_file(self, capsys, tmp_path, scenes_dir, rows, message):
+        prof = tmp_path / "profiles.csv"
+        prof.write_text("anchor_id,distance_m\n" + rows)
+        code, out, err = run_cli(capsys, [
+            "associate", "--scene", str(scenes_dir / "example1.json"), "--profiles", str(prof),
+        ])
+        assert (code, out) == (1, "")
+        assert f"{prof}: {message}" in err
 
     def test_output_file(self, capsys, tmp_path, scenes_dir):
         out_path = tmp_path / "report.json"
@@ -611,6 +639,10 @@ class TestDeterminismAndConfig:
          "match_radius=-1.0: must be nonnegative"),
         (["montecarlo"], "num_targets", 0, "num_targets=0: must be at least 1"),
         (["ghosts"], "num_targets", 0, "num_targets=0: must be at least 1"),
+        (["montecarlo"], "num_bs", 2, "num_bs=2: must be at least 3"),
+        (["ghosts"], "num_bs", 2, "num_bs=2: must be at least 3"),
+        (["montecarlo"], "trials", 0, "trials=0: must be at least 1"),
+        (["ghosts"], "trials", -1, "trials=-1: must be at least 1"),
     ])
     def test_run_config_checks_values_like_the_flags(self, capsys, args, key, value, message):
         options = {**self.parsed_options(args), key: value}
@@ -804,6 +836,21 @@ class TestIrsCli:
         assert code == 1
         assert out == ""
         assert f"{meas}: row 2: {column} must be a finite" in err
+
+
+    @pytest.mark.parametrize("rows, message", [
+        ("", "measurements must reference exactly one scene IRS, got []"),
+        ("bs1,irs2,6.0,12.0\n", "measurements must reference exactly one scene IRS, got ['irs2']"),
+        ("bs1,irs1,6.0,12.0\nbs9,irs1,6.0,12.0\n", "row 2: unknown BS id 'bs9'"),
+    ])
+    def test_bad_reference_names_file(self, capsys, tmp_path, scenes_dir, rows, message):
+        meas = tmp_path / "irs.csv"
+        meas.write_text("bs_id,irs_id,direct_roundtrip_m,composite_roundtrip_m\n" + rows)
+        code, out, err = run_cli(capsys, [
+            "irs", "--scene", str(scenes_dir / "fig5.json"), "--measurements", str(meas),
+        ])
+        assert (code, out) == (1, "")
+        assert f"{meas}: {message}" in err
 
 
 class TestShippedScenes:

@@ -51,9 +51,9 @@ RESIDUAL_TIE_EPS_M = 1e-12
 # row passes, so K^M is refused above this: K=8 at M=6 (262,144) fits.
 MAX_GATE_ROWS = 1 << 18
 
-# Most candidate rows one search may examine, counted as it runs: about 5 s
-# of search (2-core x86, Python 3.11); the largest tier-1 search examines
-# about 33,000.
+# Most candidate rows one search may examine, counted as it runs: 1.5-2 s of
+# search (`associate --tol 1e300` on an exact K=4, M=5 scene, 2-core x86,
+# Python 3.11); the largest tier-1 search examines 38,556.
 MAX_SEARCH_NODES = 1 << 22
 
 @dataclass(frozen=True)
@@ -435,18 +435,19 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> tuple[list[tuple
     order = np.lexsort((table.rms[rows], slots))  # stable: ties keep ascending flat
     rows, slots = rows[order], slots[order]
     combos = zip(*(a.tolist() for a in np.unravel_index(rest[order], (k,) * (m - 1))))
+    # Bit a * k + j of a candidate's mask marks its index j at anchor a + 2.
     candidates: list[list[tuple]] = [[] for _ in range(k)]
     for s, combo, residual, row in zip(slots.tolist(), combos, table.rms[rows].tolist(),
                                        rows.tolist()):
-        candidates[s].append((combo, residual, row))
+        mask = sum(1 << (a * k + j) for a, j in enumerate(combo))
+        candidates[s].append((combo, mask, residual, row))
 
-    used = [[False] * k for _ in range(m - 1)]
     chosen: list[tuple[tuple[int, ...], int]] = []
     incumbent = math.inf
     found: list[tuple] = []
     nodes = 0
 
-    def dfs(slot: int, partial_max: float) -> None:
+    def dfs(slot: int, used: int, partial_max: float) -> None:
         nonlocal incumbent, nodes
         if slot == k:
             assignment = (tuple(range(k)),) + tuple(
@@ -456,7 +457,7 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> tuple[list[tuple
                 incumbent = partial_max
                 found[:] = [f for f in found if f[0] <= incumbent + RESIDUAL_TIE_EPS_M]
             return
-        for combo, residual, row in candidates[slot]:
+        for combo, mask, residual, row in candidates[slot]:
             nodes += 1
             if nodes > MAX_SEARCH_NODES:
                 raise ValueError(f"K={k} targets at M={m} anchors: the search examined {nodes:,} "
@@ -464,17 +465,13 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> tuple[list[tuple
             new_max = max(partial_max, residual)
             if new_max > incumbent + RESIDUAL_TIE_EPS_M:
                 break  # candidates ascend, so every later one is cut too
-            if any(used[a][j] for a, j in enumerate(combo)):
+            if used & mask:
                 continue
-            for a, j in enumerate(combo):
-                used[a][j] = True
             chosen.append((combo, row))
-            dfs(slot + 1, new_max)
+            dfs(slot + 1, used | mask, new_max)
             chosen.pop()
-            for a, j in enumerate(combo):
-                used[a][j] = False
 
-    dfs(0, 0.0)
+    dfs(0, 0, 0.0)
     return found, nodes
 
 

@@ -8,6 +8,7 @@ NETSENSE_SEED environment variable; an explicit --seed always wins.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -377,6 +378,15 @@ def _csv_distance(path: str, index: int, row: dict, column: str) -> float:
     return value
 
 
+@contextlib.contextmanager
+def _naming(path: str):
+    """Prefix a ValueError raised inside with ``path``, the CSV it concerns."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 # --- subcommand handlers ------------------------------------------------------
 
 
@@ -432,10 +442,6 @@ def _cmd_ambiguity(opts: dict) -> None:
     print(f"grid,{surface.delay_bins}x{surface.doppler_bins}")
 
 
-def _anchor_positions(scn: scene.Scene) -> dict[str, scene.Point2]:
-    return {a.id: a.position for a in scn.anchors}
-
-
 def _cmd_localize(opts: dict) -> None:
     scn = scene.load_scene(opts["scene"])
     path = opts["measurements"]
@@ -444,13 +450,14 @@ def _cmd_localize(opts: dict) -> None:
         localization.RangeMeasurement(row["anchor_id"], _csv_distance(path, i, row, "distance_m"))
         for i, row in enumerate(rows, start=1)
     ]
-    positions = _anchor_positions(scn)
+    positions = {a.id: a.position for a in scn.anchors}
     used = {m.anchor_id: positions[m.anchor_id] for m in measurements
             if m.anchor_id in positions}
     missing = [m.anchor_id for m in measurements if m.anchor_id not in positions]
     if missing:
         raise ValueError(f"{path}: measurements reference unknown anchors: {missing}")
-    est = localization.trilaterate(used, measurements)
+    with _naming(path):
+        est = localization.trilaterate(used, measurements)
     print(f"x_m,{est.position.x!r}")
     print(f"y_m,{est.position.y!r}")
     print(f"residual_rms_m,{est.residual_rms_m!r}")
@@ -547,24 +554,24 @@ def _cmd_ghosts(opts: dict) -> None:
 
 def _cmd_irs(opts: dict) -> None:
     scn = scene.load_scene(opts["scene"])
-    positions = _anchor_positions(scn)
-    irs_ids = {a.id for a in scn.irs_anchors}
-    if not irs_ids:
+    irs_positions = {a.id: a.position for a in scn.irs_anchors}
+    if not irs_positions:
         raise ValueError("scene has no IRS anchor")
     path = opts["measurements"]
     rows = _read_csv(path, ["bs_id", "irs_id", "direct_roundtrip_m", "composite_roundtrip_m"])
     referenced_irs = {row["irs_id"] for row in rows}
-    if len(referenced_irs) != 1 or not referenced_irs <= irs_ids:
+    if len(referenced_irs) != 1 or not referenced_irs <= irs_positions.keys():
         raise ValueError(f"{path}: measurements must reference exactly one scene IRS, "
                          f"got {sorted(referenced_irs)}")
     irs_id = referenced_irs.pop()
-    irs_pos = positions[irs_id]
+    irs_pos = irs_positions[irs_id]
+    bs_positions = {a.id: a.position for a in scn.base_stations}
 
     bs_measurements = []
     recovered = []
     for i, row in enumerate(rows, start=1):
         bs_id = row["bs_id"]
-        if bs_id not in positions:
+        if bs_id not in bs_positions:
             raise ValueError(f"{path}: row {i}: unknown BS id {bs_id!r}")
         m = irs.IrsPathMeasurement(
             bs_id=bs_id,
@@ -572,15 +579,14 @@ def _cmd_irs(opts: dict) -> None:
             direct_roundtrip_m=_csv_distance(path, i, row, "direct_roundtrip_m"),
             composite_roundtrip_m=_csv_distance(path, i, row, "composite_roundtrip_m"),
         )
-        recovered.append(irs.irs_target_distance(m, positions[bs_id], irs_pos))
+        recovered.append(irs.irs_target_distance(m, bs_positions[bs_id], irs_pos))
         bs_measurements.append(
             localization.RangeMeasurement(bs_id, m.direct_roundtrip_m / 2.0)
         )
     irs_distance = sum(recovered) / len(recovered)
-    est = irs.localize_with_heterogeneous_anchors(
-        {m.anchor_id: positions[m.anchor_id] for m in bs_measurements},
-        bs_measurements, irs_pos, irs_distance,
-    )
+    with _naming(path):
+        est = irs.localize_with_heterogeneous_anchors(
+            bs_positions, bs_measurements, irs_pos, irs_distance)
     print(f"irs_distance_m,{irs_distance!r}")
     print(f"x_m,{est.position.x!r}")
     print(f"y_m,{est.position.y!r}")

@@ -10,9 +10,9 @@ they span CHUNK_ROWS subproblem rows (K^M per trial) it gates them in one
 join at each trial's association tolerance, which builds only the rows
 that survive, and once CHUNK_ROWS rows survive it solves them in one call
 and scores each trial drawn so far from its own table. No ungated row is
-ever built. One worker runs all jobs as one stream; N workers, at most one per
-CPU, run one contiguous slice each, unless every job's rows fit in one
-call's CHUNK_ROWS, when the run stays in-process.
+ever built. The worker count is clamped to the jobs and the CPUs: one
+worker runs all jobs as one stream in-process, and N > 1 run one contiguous
+slice each in a process pool.
 """
 
 from __future__ import annotations
@@ -324,14 +324,10 @@ def _run_stream(args: tuple) -> list[dict]:
 
 
 def _run_trials(make_record, spec: ExperimentSpec, jobs: list, workers: int) -> list[dict]:
-    """Run jobs as one stream in-process, or as one contiguous slice per worker."""
-    if spec.scene is not None:
-        n_targets, n_anchors = len(spec.scene.targets), len(spec.scene.base_stations)
-    else:
-        n_targets, n_anchors = spec.random_plan.num_targets, spec.random_plan.num_bs
-    workers = min(workers, os.cpu_count() or 1)  # the pool forks all its workers at once
-    # A pool costs more than it saves on jobs that one solver call could hold.
-    if workers <= 1 or len(jobs) <= max(1, CHUNK_ROWS // max(1, n_targets ** n_anchors)):
+    """Run jobs as one stream in-process when ``workers``, clamped to the jobs
+    and the CPUs, is 1, else as one contiguous slice per worker in a pool."""
+    workers = min(workers, len(jobs), os.cpu_count() or 1)  # the pool forks all at once
+    if workers == 1:
         return _run_stream((make_record, spec, jobs))
     size = -(-len(jobs) // workers)
     slices = [(make_record, spec, jobs[i:i + size]) for i in range(0, len(jobs), size)]

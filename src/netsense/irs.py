@@ -10,16 +10,18 @@ ranging anchor for trilateration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import InconsistentMeasurementError
-from .localization import PositionEstimate, RangeMeasurement, solve_ranges
+from .localization import PositionEstimate, RangeMeasurement, trilaterate
 from .scene import Point2, true_distance
 
 NEGATIVE_L2_TOL_M = 1e-6
+
+# The IRS's anchor id in the range problem it shares with the BSs.
+IRS_ANCHOR_ID = "irs"
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,9 @@ class IrsPathMeasurement:
     composite_roundtrip_m: float  # BS -> target -> IRS -> BS, equals L1+L2+L3
 
     def __post_init__(self):
-        if self.direct_roundtrip_m < 0 or self.composite_roundtrip_m < 0:
-            raise ValueError("round-trip lengths must be nonnegative")
+        if not all(0.0 <= v < math.inf
+                   for v in (self.direct_roundtrip_m, self.composite_roundtrip_m)):
+            raise ValueError("round-trip lengths must be finite and nonnegative")
         if self.composite_roundtrip_m < self.direct_roundtrip_m / 2.0:
             raise ValueError(
                 "composite round trip cannot be shorter than the one-way direct path"
@@ -81,23 +84,15 @@ def localize_with_heterogeneous_anchors(
 ) -> PositionEstimate:
     """Trilaterate using BS ranges plus one recovered IRS range.
 
-    The IRS is treated as an ordinary anchor at its known position. The
-    combined anchor set must contain at least three non-collinear points;
-    collinear geometry raises GeometryError via the range solver.
+    This is ``trilaterate``, and refuses what it refuses, with the IRS as one
+    more anchor after the BSs, keyed IRS_ANCHOR_ID, which no BS id may
+    equal. ``bs_positions`` may hold BSs that were not measured.
     """
-    if len(bs_measurements) < 2:
-        raise ValueError("need at least 2 BS range measurements")
-    if irs_distance_m < 0:
-        raise ValueError("irs_distance_m must be nonnegative")
     ids = [m.anchor_id for m in bs_measurements]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate anchor_id in measurements")
+    if IRS_ANCHOR_ID in ids:
+        raise ValueError(f"BS id {IRS_ANCHOR_ID!r} is the IRS's anchor id")
     missing = [i for i in ids if i not in bs_positions]
     if missing:
         raise ValueError(f"no position known for anchors: {missing}")
-
-    anchors_xy = np.array(
-        [[bs_positions[i].x, bs_positions[i].y] for i in ids] + [[irs_pos.x, irs_pos.y]]
-    )
-    distances = np.array([m.distance_m for m in bs_measurements] + [irs_distance_m])
-    return solve_ranges(anchors_xy, distances)
+    anchors = {**{i: bs_positions[i] for i in ids}, IRS_ANCHOR_ID: irs_pos}
+    return trilaterate(anchors, [*bs_measurements, RangeMeasurement(IRS_ANCHOR_ID, irs_distance_m)])

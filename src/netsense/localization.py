@@ -29,19 +29,16 @@ MAX_ITERATIONS = 50
 
 @dataclass(frozen=True)
 class RangeMeasurement:
-    """A single anchor-to-target range, optionally with its noise sigma."""
+    """A single anchor-to-target range: finite and nonnegative."""
 
     anchor_id: str
     distance_m: float
-    sigma_m: float = 0.0
 
     def __post_init__(self):
         if not math.isfinite(self.distance_m):
             raise ValueError(f"{self.anchor_id}: distance_m must be finite")
         if self.distance_m < 0:
             raise ValueError("distance_m must be nonnegative")
-        if self.sigma_m < 0:
-            raise ValueError("sigma_m must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -223,8 +220,8 @@ def solve_ranges_batch(
         raise ValueError("one distance per anchor required")
     if per_row and len(anchors_xy) != len(distances):
         raise ValueError("one anchor set per distance row required")
-    if np.any(distances < 0):
-        raise ValueError("distances must be nonnegative")
+    if not np.all((distances >= 0) & (distances < np.inf)):
+        raise ValueError("distances must be finite and nonnegative")
     if per_row:
         # Stacked problems share their anchor set over runs of rows; check
         # each run once.

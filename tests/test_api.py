@@ -1,6 +1,8 @@
-"""The public names of the package, its functions' parameters and the CLI's option keys
-stay stable: a new keyword option is a deliberate change to these lists."""
+"""The public names of the package, its functions' parameters, its dataclasses' fields and
+the CLI's option keys stay stable: a new keyword option or field is a deliberate change to
+these lists."""
 
+import dataclasses
 import inspect
 import types
 
@@ -72,6 +74,38 @@ PARAMETERS = {
     "zadoff_chu": ["length", "root"],
 }
 
+# Each public dataclass's field names, in order.
+FIELDS = {
+    "AmbiguitySurface": ["magnitudes", "delay_bins", "doppler_bins", "doppler_freqs", "label"],
+    "Anchor": ["id", "kind", "position"],
+    "AssociationHypothesis": ["assignment"],
+    "AssociationSolution": ["hypothesis", "estimates", "max_residual_m"],
+    "Bounds": ["xmin", "ymin", "xmax", "ymax"],
+    "ComplexSequence": ["samples", "label"],
+    "DistanceProfile": ["anchor_id", "distances"],
+    "ExperimentReport": ["kind", "spec", "records", "aggregates"],
+    "ExperimentSpec": ["scene", "random_plan", "link", "snr_min_db", "noise", "trials", "seed",
+                       "feas_tol_m"],
+    "GhostProbabilityResult": ["fraction", "num_trials", "ghost_seeds", "infeasible_seeds",
+                               "outcomes"],
+    "GhostReport": ["feasible_solutions", "unique", "ghost_positions"],
+    "IrsPathMeasurement": ["bs_id", "irs_id", "direct_roundtrip_m", "composite_roundtrip_m"],
+    "LinkBudgetParams": ["pt_watts", "gt_dbi", "gr_dbi", "gp_db", "carrier_hz", "rcs_dbsm",
+                         "temperature_k", "bandwidth_hz", "noise_factor_db", "wavelength_m",
+                         "gt_linear", "gr_linear", "gp_linear", "rcs_m2", "noise_factor_linear"],
+    "MeasurementSet": ["profiles", "detected", "origins"],
+    "NoiseModel": ["range_sigma_m", "quantize_to_resolution", "bandwidth_hz"],
+    "Point2": ["x", "y"],
+    "PositionEstimate": ["position", "residual_rms_m", "converged", "iterations"],
+    "RandomScenePlan": ["num_bs", "num_targets", "bounds", "rcs_dbsm"],
+    "RangeMeasurement": ["anchor_id", "distance_m"],
+    "Scene": ["anchors", "targets", "bounds"],
+    "SidelobeMetrics": ["psl_db", "isl_db"],
+    "SnrResult": ["linear", "db"],
+    "Target": ["id", "position", "rcs_dbsm"],
+    "ValidationReport": ["violations"],
+}
+
 LINK_OPTIONS = [
     "bandwidth_hz", "carrier_hz", "gp_db", "gr_dbi", "gt_dbi", "noise_factor_db",
     "pt_watts", "rcs_dbsm", "snr_min_db", "temperature_k",
@@ -101,6 +135,12 @@ def test_public_function_parameters():
     functions = {n: v for n, v in vars(netsense).items()
                  if not n.startswith("_") and inspect.isfunction(v)}
     assert {n: list(inspect.signature(f).parameters) for n, f in functions.items()} == PARAMETERS
+
+
+def test_public_dataclass_fields():
+    classes = {n: v for n, v in vars(netsense).items()
+               if not n.startswith("_") and dataclasses.is_dataclass(v)}
+    assert {n: [f.name for f in dataclasses.fields(c)] for n, c in classes.items()} == FIELDS
 
 
 def test_cli_option_keys():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -687,6 +688,26 @@ class TestSearchMemory:
             with pytest.raises(InfeasibleAssociationError) as err:
                 solve(profiles, anchors, 1e-4)
             assert err.value.best_residual_m == 0.9291772067809746
+
+
+class TestSearchOrder:
+    def test_noisy_enumeration_is_pinned(self):
+        # K=6, M=5 at sigma 1 m and tol 3 sigma sqrt(M): 1,104 feasible
+        # hypotheses among 508 solved rows. The node count and the order in
+        # which the search completes hypotheses pin its visiting order.
+        profiles, anchors = noisy_problem(6, 6, 5, 1.0)
+        tol = 3.0 * math.sqrt(5)
+        stats = {}
+        solutions = enumerate_feasible(profiles, anchors, tol, stats=stats)
+        assert (stats["search_nodes"], stats["solved_rows"], len(solutions)) == (38556, 508, 1104)
+        digest = hashlib.sha256(repr([(s.hypothesis.assignment, s.max_residual_m)
+                                      for s in solutions]).encode()).hexdigest()
+        assert digest == "2899887a1650b9f13d8abde770d13633472ac779fb675e73f4cfc001f9234d23"
+        found, nodes = association._search(subproblem_table(profiles, anchors, tol), tol,
+                                           best=False)
+        rows = hashlib.sha256(repr([f[2] for f in found]).encode()).hexdigest()
+        assert (nodes, rows) == (
+            38556, "971c9629f5f885c2591613191f3cef00f0a6b78a0185042dbb2a55dc77b1e682")
 
 
 class TestSubproblemBatch:

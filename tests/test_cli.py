@@ -296,6 +296,21 @@ class TestLocalize:
         assert (code, out) == (1, "")
         assert f"{meas}: measurements reference unknown anchors: ['bs9']" in err
 
+    @pytest.mark.parametrize("rows, message", [
+        ("bs1,7.0\nbs2,6.0\nbs3,8.0\nbs1,7.0\n", "duplicate anchor_id in measurements"),
+        ("bs1,7.0\nbs2,6.0\n", "need at least 3 anchors"),
+    ])
+    def test_trilateration_refusal_names_file(self, capsys, tmp_path, scenes_dir, rows,
+                                              message):
+        meas = tmp_path / "meas.csv"
+        meas.write_text("anchor_id,distance_m\n" + rows)
+        code, out, err = run_cli(capsys, [
+            "localize", "--scene", str(scenes_dir / "example1.json"),
+            "--measurements", str(meas),
+        ])
+        assert (code, out) == (1, "")
+        assert f"{meas}: {message}" in err
+
     def test_missing_header_is_domain_error(self, capsys, tmp_path, scenes_dir):
         meas = tmp_path / "meas.csv"
         meas.write_text("a,b\n1,2\n")
@@ -842,6 +857,12 @@ class TestIrsCli:
         ("", "measurements must reference exactly one scene IRS, got []"),
         ("bs1,irs2,6.0,12.0\n", "measurements must reference exactly one scene IRS, got ['irs2']"),
         ("bs1,irs1,6.0,12.0\nbs9,irs1,6.0,12.0\n", "row 2: unknown BS id 'bs9'"),
+        # The scene's IRS is an anchor, but not a BS.
+        ("irs1,irs1,6.0,12.0\n", "row 1: unknown BS id 'irs1'"),
+        # Refusals from the trilateration name the file too.
+        ("bs1,irs1,6.0,12.0\nbs2,irs1,10.0,16.0\nbs1,irs1,6.0,12.0\n",
+         "duplicate anchor_id in measurements"),
+        ("bs1,irs1,6.0,12.0\n", "need at least 3 anchors"),
     ])
     def test_bad_reference_names_file(self, capsys, tmp_path, scenes_dir, rows, message):
         meas = tmp_path / "irs.csv"

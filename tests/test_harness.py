@@ -32,6 +32,26 @@ from netsense.scene import (
 PLAN = RandomScenePlan(num_bs=3, num_targets=2, bounds=Bounds(-150, -150, 150, 150))
 
 
+def fake_pool(monkeypatch) -> list:
+    """Swap the harness's process pool for an in-process one; returns the sizes asked for."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
 def small_scene():
     return Scene(
         anchors=(
@@ -155,34 +175,29 @@ class TestUniquenessExperiment:
 
     @pytest.mark.parametrize("cpus, pool_sizes", [(2, [2]), (None, [])])
     def test_workers_clamped_to_cpu_count(self, monkeypatch, cpus, pool_sizes):
-        # 40 trials x 8 rows exceed one solver call, so more than one worker
-        # would start a pool; the fake pool only records its size. An
-        # unknown CPU count means one CPU, so the run stays in-process.
+        # More than one worker starts a pool; the fake pool only records its
+        # size. An unknown CPU count means one CPU, so the run stays in-process.
         spec = ExperimentSpec(random_plan=PLAN, trials=40, seed=77, feas_tol_m=1e-4)
         sequential = run_uniqueness_experiment(spec).to_dict()
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        sizes = fake_pool(monkeypatch)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         assert run_uniqueness_experiment(spec, workers=10**6).to_dict() == sequential
         assert sizes == pool_sizes
 
-    def test_determinism_across_workers(self):
+    def test_determinism_across_workers(self, monkeypatch):
         spec = ExperimentSpec(random_plan=PLAN, trials=16, seed=77, feas_tol_m=1e-4)
         sequential = run_uniqueness_experiment(spec, workers=1)
+        started = []
+        pool = harness.ProcessPoolExecutor
+
+        def spy(max_workers):
+            started.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", spy)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         parallel = run_uniqueness_experiment(spec, workers=2)
+        assert started == [2]
         assert json.dumps(sequential.to_dict(), sort_keys=True) == json.dumps(
             parallel.to_dict(), sort_keys=True
         )
@@ -319,16 +334,24 @@ class TestChunking:
         assert run_uniqueness_experiment(self.SPEC, workers=2).to_dict() == unique
         assert run_accuracy_experiment(self.SPEC, [0.0, 0.5], workers=2).to_dict() == accuracy
 
-    def test_small_runs_skip_the_pool(self, monkeypatch):
-        # 3 trials x 81 rows fit one solver call, so workers=2 starts no pool.
+    def test_small_runs_start_the_pool(self, monkeypatch):
+        # The worker count alone decides: 3 trials at workers=2 start a pool of 2.
         spec = ExperimentSpec(random_plan=self.PLAN, trials=3, seed=21, feas_tol_m=1e-4)
         unique = run_uniqueness_experiment(spec).to_dict()
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        sizes = fake_pool(monkeypatch)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         assert run_uniqueness_experiment(spec, workers=2).to_dict() == unique
+        assert sizes == [2]
+
+    def test_workers_clamped_to_jobs(self, monkeypatch):
+        spec = ExperimentSpec(random_plan=self.PLAN, trials=1, seed=21, feas_tol_m=1e-4)
+        unique = run_uniqueness_experiment(spec).to_dict()
+        sizes = fake_pool(monkeypatch)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        assert run_uniqueness_experiment(spec, workers=4).to_dict() == unique
+        assert run_accuracy_experiment(spec, [0.0, 0.5], workers=4).to_dict() == (
+            run_accuracy_experiment(spec, [0.0, 0.5]).to_dict())
+        assert sizes == [2]
 
     def test_every_solve_but_the_last_is_full(self, monkeypatch):
         log = SolverLog(monkeypatch)

@@ -5,12 +5,13 @@ import pytest
 
 from netsense.errors import GeometryError, InconsistentMeasurementError
 from netsense.irs import (
+    IRS_ANCHOR_ID,
     IrsPathMeasurement,
     irs_target_distance,
     localize_with_heterogeneous_anchors,
     synthesize_path_measurement,
 )
-from netsense.localization import RangeMeasurement
+from netsense.localization import RangeMeasurement, solve_ranges
 from netsense.scene import Point2, true_distance
 
 
@@ -53,6 +54,13 @@ class TestIrsTargetDistance:
             IrsPathMeasurement("bs", "irs", direct_roundtrip_m=10.0, composite_roundtrip_m=4.0)
         with pytest.raises(ValueError):
             IrsPathMeasurement("bs", "irs", direct_roundtrip_m=-1.0, composite_roundtrip_m=4.0)
+
+    @pytest.mark.parametrize("direct, composite", [
+        (math.nan, 12.0), (6.0, math.nan), (6.0, math.inf), (math.inf, math.inf),
+    ])
+    def test_non_finite_round_trip_rejected(self, direct, composite):
+        with pytest.raises(ValueError, match="finite"):
+            IrsPathMeasurement("bs", "irs", direct, composite)
 
     def test_coincident_bs_irs_rejected(self):
         m = IrsPathMeasurement("bs", "irs", 6.0, 12.0)
@@ -106,6 +114,29 @@ class TestHeterogeneousLocalization:
             localize_with_heterogeneous_anchors(
                 bs, [RangeMeasurement("bs1", 5.0)], Point2(4, 6), 3.0
             )
+
+    def test_is_trilateration_with_the_irs_as_last_anchor(self):
+        bs, irs_pos, target = _fig5_setup()
+        measurements = [RangeMeasurement(i, true_distance(p, target) + 0.1)
+                        for i, p in reversed(bs.items())]
+        est = localize_with_heterogeneous_anchors(bs, measurements, irs_pos, 4.2)
+        anchors_xy = np.array([[8.0, 0.0], [0.0, 0.0], [4.0, 6.0]])
+        distances = [m.distance_m for m in measurements] + [4.2]
+        assert est == solve_ranges(anchors_xy, distances)
+
+    @pytest.mark.parametrize("ids, irs_distance, message", [
+        (["bs1", "bs2"], math.nan, "irs: distance_m must be finite"),
+        (["bs1", "bs2"], math.inf, "irs: distance_m must be finite"),
+        (["bs1", "bs2"], -1.0, "distance_m must be nonnegative"),
+        (["bs1", "bs2", "bs1"], 3.0, "duplicate anchor_id in measurements"),
+        (["bs1", "bs9"], 3.0, r"no position known for anchors: \['bs9'\]"),
+        (["bs1", IRS_ANCHOR_ID], 3.0, f"BS id '{IRS_ANCHOR_ID}' is the IRS's anchor id"),
+    ])
+    def test_refusals(self, ids, irs_distance, message):
+        bs = {"bs1": Point2(0, 0), "bs2": Point2(8, 0), IRS_ANCHOR_ID: Point2(8, 8)}
+        measurements = [RangeMeasurement(i, 5.0) for i in ids]
+        with pytest.raises(ValueError, match=message):
+            localize_with_heterogeneous_anchors(bs, measurements, Point2(4, 6), irs_distance)
 
     def test_noisy_paths_median_error_below_1m(self):
         bs, irs_pos, target = _fig5_setup()

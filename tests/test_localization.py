@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -329,3 +330,18 @@ class TestNonFiniteRanges:
     def test_range_measurement_rejects(self, bad):
         with pytest.raises(ValueError, match="bs1.*finite"):
             RangeMeasurement("bs1", bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_solve_ranges_batch_rejects(self, bad):
+        distances = np.ones((3, 3))
+        distances[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_ranges_batch(EXAMPLE_BS_XY, distances)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_trilaterate_rejects(self, bad):
+        # A measurement-like object that never went through RangeMeasurement's check.
+        measurements = [RangeMeasurement("bs1", 1.0), RangeMeasurement("bs2", 1.0),
+                        SimpleNamespace(anchor_id="bs3", distance_m=bad)]
+        with pytest.raises(ValueError, match="finite"):
+            trilaterate(EXAMPLE_BS, measurements)

@@ -4,15 +4,17 @@ Every trial draws from its own child stream of the master seed (indexed by
 trial number), so reports are byte-identical regardless of execution order
 or worker count.
 
-Trials run as streams. A stream draws each trial's scene and measurements
-in turn and keeps the distance sets of its full-detection trials; once
-they span CHUNK_ROWS subproblem rows (K^M per trial) it gates them in one
-join at each trial's association tolerance, which builds only the rows
-that survive, and once CHUNK_ROWS rows survive it solves them in one call
-and scores each trial drawn so far from its own table. No ungated row is
-ever built. The worker count is clamped to the jobs and the CPUs: one
-worker runs all jobs as one stream in-process, and N > 1 run one contiguous
-slice each in a process pool.
+Trials run as streams. A stream draws each trial's scene once and its
+measurements at every noise level from one draw per BS, and keeps the
+distance sets of its full-detection (trial, level) problems; once they
+span CHUNK_ROWS subproblem rows (K^M per problem) it gates them in one join
+at each problem's association tolerance, which builds only the rows that
+survive, and once CHUNK_ROWS rows survive it solves them in one call and
+scores each problem drawn so far from its own table. No ungated row is ever
+built. The worker count is clamped to the trials and the CPUs: one worker
+runs all trials as one stream in-process, and N > 1 run one contiguous
+slice of trials each in a process pool. The report lists records by sigma,
+then trial.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .association import (
     enumerate_feasible,
     solve_association_bnb,  # noqa: F401  kept under this name for bench/tracing.py
 )
-from .link_budget import LinkBudgetParams, covered, range_resolution
+from .link_budget import LinkBudgetParams, max_sensing_range, range_resolution
+from .link_budget import covered  # noqa: F401  kept under this name for bench/tracing.py
 from .scene import Bounds, Scene, random_scene, scene_to_dict, true_distance
 
 CORRECT_MATCH_RADIUS_M = 1e-3
@@ -157,36 +160,57 @@ def measure_distances(
     RCS. Covered distances get Gaussian noise, optional quantization to the
     range resolution, and a deterministic per-BS shuffle.
     """
-    stations = scene.base_stations
-    targets = scene.targets
-    detected = np.zeros((len(stations), len(targets)), dtype=bool)
-    step = range_resolution(noise.bandwidth_hz) if noise.quantize_to_resolution else None
-    gate_params = [replace(link, rcs_dbsm=target.rcs_dbsm) for target in targets]
+    return _measure_levels(scene, link, snr_min_db, [noise], seed)[0]
 
-    profiles = []
-    origins = []
+
+def _measure_levels(
+    scene: Scene,
+    link: LinkBudgetParams,
+    snr_min_db: float,
+    noises: Sequence[NoiseModel],
+    seed: int,
+) -> list[MeasurementSet]:
+    """``measure_distances`` of one scene at each noise level, from one draw.
+
+    True distances and coverage are worked out once, coverage once per
+    distinct RCS. BS m's generator ``default_rng([seed, m])`` draws one
+    standard normal z per covered target, in target order, then a
+    permutation of them. A level's distance is ``d_true + (0.0 + sigma * z)``,
+    bitwise numpy's ``normal(0, sigma)`` (``loc + scale * z``), then rounded
+    and clamped at 0 as Python floats, so each level is what its own draw
+    would give.
+    """
+    stations, targets = scene.base_stations, scene.targets
+    reach = {rcs: max_sensing_range(replace(link, rcs_dbsm=rcs), snr_min_db)
+             for rcs in {t.rcs_dbsm for t in targets}}
+    radii = [reach[t.rcs_dbsm] for t in targets]
+    flags, draws, origins = [], [], []
     for m, bs in enumerate(stations):
+        dists = [true_distance(bs.position, t.position) for t in targets]
+        # Zero distance (target at the BS) is trivially inside coverage.
+        flags.append([d == 0.0 or d <= r for d, r in zip(dists, radii)])
+        sources = [k for k, seen in enumerate(flags[-1]) if seen]
         rng = np.random.default_rng([seed, m])
-        values: list[float] = []
-        sources: list[int] = []
-        for k, target in enumerate(targets):
-            d_true = true_distance(bs.position, target.position)
-            # Zero distance (target at the BS) is trivially inside coverage.
-            if d_true > 0.0 and not covered(gate_params[k], snr_min_db, d_true):
-                continue
-            detected[m, k] = True
-            d = d_true + rng.normal(0.0, noise.range_sigma_m)
-            if step is not None:
-                d = round(d / step) * step
-            values.append(max(d, 0.0))
-            sources.append(k)
-        perm = rng.permutation(len(values))
-        profiles.append(DistanceProfile(
-            anchor_id=bs.id,
-            distances=tuple(values[i] for i in perm),
-        ))
+        z = rng.standard_normal(len(sources)).tolist()
+        perm = rng.permutation(len(sources)).tolist()
+        draws.append(([dists[k] for k in sources], z, perm))
         origins.append(tuple(sources[i] for i in perm))
-    return MeasurementSet(profiles=tuple(profiles), detected=detected, origins=tuple(origins))
+    detected = np.array(flags, dtype=bool).reshape(len(stations), len(targets))
+
+    levels = []
+    for noise in noises:
+        sigma = noise.range_sigma_m
+        step = range_resolution(noise.bandwidth_hz) if noise.quantize_to_resolution else None
+        profiles = []
+        for bs, (d_true, z, perm) in zip(stations, draws):
+            values = [d + (0.0 + sigma * x) for d, x in zip(d_true, z)]
+            if step is not None:
+                values = [round(d / step) * step for d in values]
+            profiles.append(DistanceProfile(anchor_id=bs.id,
+                                            distances=tuple(max(values[i], 0.0) for i in perm)))
+        levels.append(MeasurementSet(profiles=tuple(profiles), detected=detected,
+                                     origins=tuple(origins)))
+    return levels
 
 
 def _trial_seeds(seed: int, trials: int) -> list[int]:
@@ -201,12 +225,14 @@ def _trial_scene(spec: ExperimentSpec, trial_seed: int) -> Scene:
                         rcs_dbsm=plan.rcs_dbsm, seed=trial_seed)
 
 
-def _association_tol(base_tol: float, sigma_eff: float, num_bs: int) -> float:
-    # Exact ranges keep the configured tolerance; noisy ranges widen it to
-    # 3 * sigma * sqrt(M) so the true hypothesis stays feasible.
+def _association_tol(base_tol: float, sigma_eff: float) -> float:
+    # Exact ranges keep the configured tolerance. Noisy ranges widen it to
+    # 3 sigma, a bound on the true row's rms: the least-squares rms of that
+    # row is at most the rms of its M noise draws, which exceeds 3 sigma
+    # only when chi^2_M > 9M (below 6e-6 per row at M = 3, less beyond).
     if sigma_eff == 0.0:
         return base_tol
-    return max(base_tol, 3.0 * sigma_eff * math.sqrt(num_bs))
+    return max(base_tol, 3.0 * sigma_eff)
 
 
 def _score(solution: AssociationSolution, scene: Scene,
@@ -287,17 +313,19 @@ def _accuracy_record(trial: int, trial_seed: int, scene: Scene, noise: NoiseMode
 
 
 def _run_stream(args: tuple) -> list[dict]:
-    """Records of one stream of (noise, trial, trial seed) jobs, in job order.
+    """Records of one stream of (trial, trial seed) jobs, trial by trial, each
+    at every noise level in order.
 
-    Each trial's scene and measurements are drawn in turn, and a
-    full-detection trial adds its problem at its association tolerance.
-    Once the problems added span CHUNK_ROWS subproblem rows they are gated
-    in one join, which builds only the survivors; once CHUNK_ROWS rows
-    survive, they are solved in one call and the trials drawn so far are
-    scored from their own tables with ``make_record``, which searches each
-    table at its ``gate_tol``, the trial's association tolerance.
+    Each trial's scene is drawn once, and its measurements at every level
+    come from one draw (``_measure_levels``). Each full-detection level adds
+    its problem at its association tolerance. Once the problems added span
+    CHUNK_ROWS subproblem rows they are gated in one join, which builds only
+    the survivors; once CHUNK_ROWS rows survive, they are solved in one call
+    and the problems drawn so far are scored from their own tables with
+    ``make_record``, which searches each table at its ``gate_tol``, the
+    problem's association tolerance.
     """
-    make_record, spec, jobs = args
+    make_record, spec, noises, jobs = args
     records: list[dict] = []
     batch, drawn = SubproblemBatch(), []
 
@@ -306,31 +334,35 @@ def _run_stream(args: tuple) -> list[dict]:
         records.extend(make_record(*d, next(tables) if d[-1].full_detection else None)
                        for d in drawn)
 
-    for noise, trial, trial_seed in jobs:
+    for trial, trial_seed in jobs:
         scene = _trial_scene(spec, trial_seed)
-        ms = measure_distances(scene, spec.link, spec.snr_min_db, noise, trial_seed)
-        drawn.append((trial, trial_seed, scene, noise, ms))
-        if not ms.full_detection:
-            continue
-        batch.add(ms.profiles, scene.bs_positions(),
-                  _association_tol(spec.feas_tol_m, noise.effective_sigma_m(), len(ms.profiles)))
-        if batch.ungated_rows >= CHUNK_ROWS:
-            batch.gate()
-        if batch.survivors >= CHUNK_ROWS:
-            score()
-            batch, drawn = SubproblemBatch(), []
+        anchors = scene.bs_positions()
+        levels = _measure_levels(scene, spec.link, spec.snr_min_db, noises, trial_seed)
+        for noise, ms in zip(noises, levels):
+            drawn.append((trial, trial_seed, scene, noise, ms))
+            if not ms.full_detection:
+                continue
+            batch.add(ms.profiles, anchors,
+                      _association_tol(spec.feas_tol_m, noise.effective_sigma_m()))
+            if batch.ungated_rows >= CHUNK_ROWS:
+                batch.gate()
+            if batch.survivors >= CHUNK_ROWS:
+                score()
+                batch, drawn = SubproblemBatch(), []
     score()
     return records
 
 
-def _run_trials(make_record, spec: ExperimentSpec, jobs: list, workers: int) -> list[dict]:
-    """Run jobs as one stream in-process when ``workers``, clamped to the jobs
-    and the CPUs, is 1, else as one contiguous slice per worker in a pool."""
+def _run_trials(make_record, spec: ExperimentSpec, noises: Sequence[NoiseModel], jobs: list,
+                workers: int) -> list[dict]:
+    """Run (trial, trial seed) jobs as one stream in-process when ``workers``,
+    clamped to the jobs and the CPUs, is 1, else as one contiguous slice per
+    worker in a pool."""
     workers = min(workers, len(jobs), os.cpu_count() or 1)  # the pool forks all at once
     if workers == 1:
-        return _run_stream((make_record, spec, jobs))
+        return _run_stream((make_record, spec, noises, jobs))
     size = -(-len(jobs) // workers)
-    slices = [(make_record, spec, jobs[i:i + size]) for i in range(0, len(jobs), size)]
+    slices = [(make_record, spec, noises, jobs[i:i + size]) for i in range(0, len(jobs), size)]
     with ProcessPoolExecutor(max_workers=len(slices)) as pool:
         return [record for records in pool.map(_run_stream, slices) for record in records]
 
@@ -379,10 +411,11 @@ def accuracy_aggregates(records: Sequence[dict]) -> dict:
 def _run_experiment(kind: str, make_record, aggregate, spec: ExperimentSpec,
                     noises: Sequence[NoiseModel], workers: int) -> ExperimentReport:
     """The report of every seeded trial at each noise level, in order of sigma, then trial."""
-    seeds = _trial_seeds(spec.seed, spec.trials)
-    jobs = sorted(((noise, t, s) for noise in noises for t, s in enumerate(seeds)),
-                  key=lambda job: (job[0].range_sigma_m, job[1]))
-    records = _run_trials(make_record, spec, jobs, workers)  # in job order
+    jobs = list(enumerate(_trial_seeds(spec.seed, spec.trials)))
+    records = _run_trials(make_record, spec, noises, jobs, workers)  # trial by trial
+    # A stable sort, so a sigma listed twice keeps its levels in list order.
+    keys = [(noise.range_sigma_m, trial) for trial in range(spec.trials) for noise in noises]
+    records = [r for _, r in sorted(zip(keys, records), key=lambda kr: kr[0])]
     return ExperimentReport(kind=kind, spec=spec.to_dict(), records=tuple(records),
                             aggregates=aggregate(records))
 

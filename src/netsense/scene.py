@@ -147,23 +147,23 @@ class ValidationReport:
         return not self.violations
 
 
+def _duplicate_ids(kind: str, items) -> list[str]:
+    """One 'duplicate <kind> id: <id>' line per entry whose id an earlier entry has."""
+    seen: set[str] = set()
+    lines = []
+    for item in items:
+        if item.id in seen:
+            lines.append(f"duplicate {kind} id: {item.id}")
+        seen.add(item.id)
+    return lines
+
+
 def validate_scene(scene: Scene) -> ValidationReport:
     """Check a scene for duplicate ids, stray targets, and collinear BS triples.
 
     Validation never raises; every problem found is reported as one line.
     """
-    violations: list[str] = []
-
-    seen: set[str] = set()
-    for a in scene.anchors:
-        if a.id in seen:
-            violations.append(f"duplicate anchor id: {a.id}")
-        seen.add(a.id)
-    seen = set()
-    for t in scene.targets:
-        if t.id in seen:
-            violations.append(f"duplicate target id: {t.id}")
-        seen.add(t.id)
+    violations = _duplicate_ids("anchor", scene.anchors) + _duplicate_ids("target", scene.targets)
 
     for t in scene.targets:
         if not scene.bounds.contains(t.position):
@@ -258,11 +258,15 @@ def _entries(kind: str, items, make) -> tuple:
 
 
 def scene_from_dict(data: dict) -> Scene:
+    """The scene a JSON dict describes; a bad entry or a repeated id raises ValueError."""
     bounds = Bounds(*[float(v) for v in data["bounds"]])
     anchors = _entries("anchor", data["anchors"], lambda a: Anchor(
         str(a["id"]), AnchorKind(a["kind"]), Point2(float(a["x"]), float(a["y"]))))
     targets = _entries("target", data["targets"], lambda t: Target(
         str(t["id"]), Point2(float(t["x"]), float(t["y"])), float(t.get("rcs_dbsm", -10.0))))
+    duplicates = _duplicate_ids("anchor", anchors) + _duplicate_ids("target", targets)
+    if duplicates:
+        raise ValueError("; ".join(duplicates))
     return Scene(anchors=anchors, targets=targets, bounds=bounds)
 
 
@@ -271,7 +275,8 @@ def save_scene(scene: Scene, path: str | Path) -> None:
 
 
 def load_scene(path: str | Path) -> Scene:
-    """Read a scene JSON file; a missing key or bad value raises ValueError naming the file."""
+    """Read a scene JSON file; a missing key, bad value or repeated anchor or target id
+    raises ValueError naming the file."""
     try:
         return scene_from_dict(json.loads(Path(path).read_text()))
     except (KeyError, TypeError, ValueError) as exc:

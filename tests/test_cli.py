@@ -147,6 +147,34 @@ class TestSceneJson:
         assert f"{path}: {message}" in err
         assert not report.exists()
 
+    # One call per command that reads a scene; each must refuse a repeated
+    # anchor id before using the scene, since a dict keyed by id would keep
+    # only the last entry.
+    @pytest.mark.parametrize("command", ["localize", "irs", "associate", "ghosts", "montecarlo"])
+    def test_repeated_anchor_id_refused(self, capsys, tmp_path, scenes_dir, command):
+        source = "fig5.json" if command == "irs" else "example1.json"
+        data = json.loads((scenes_dir / source).read_text())
+        data["anchors"].append({**data["anchors"][0], "x": 40.0, "y": 40.0})
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(data))
+        meas = tmp_path / "meas.csv"
+        meas.write_text("bs_id,irs_id,direct_roundtrip_m,composite_roundtrip_m\n"
+                        "bs1,irs1,7.2,12.1\nbs2,irs1,11.3,17.1\n" if command == "irs"
+                        else "anchor_id,distance_m\nbs1,6.7\nbs2,3.6\nbs3,8.5\n")
+        report = tmp_path / "r.json"
+        argv = {
+            "localize": ["--measurements", str(meas)],
+            "irs": ["--measurements", str(meas)],
+            "associate": ["--out", str(report)],
+            "ghosts": ["--trials", "3", "--out", str(report)],
+            "montecarlo": ["--trials", "3", "--out", str(report)],
+        }[command]
+        code, out, err = run_cli(capsys, [command, "--scene", str(path), *argv])
+        assert (code, out) == (1, "")
+        assert f"{path}: duplicate anchor id: bs1" in err
+        assert not report.exists()
+
+
 
 class TestCoverage:
     # CSV and stdout sha256, recorded before emit_report took row sequences.
@@ -756,6 +784,20 @@ class TestGoldenReports:
              "--sigma-list", "0.0,0.1,0.5,1.0", "--trials", "20", "--seed", "2025"],
             "6976d5fa1b7a195f5da0667496427348320f41597b8f8ee562bfa3e27ed5b2c8",
             "f58943dbf9514d6de5b8163c23e1b0060828c657082262024b2c9823e3a1bd72",
+        ),
+        # Levels out of order and one listed twice: records still run by
+        # sigma, then trial, with the repeated level's trials in list order.
+        "sigma_order": (
+            ["montecarlo", "--mode", "accuracy", "--sigma-list", "0.1,0,0.1,0.01",
+             "--trials", "40", "--seed", "2026"],
+            "d2023a6d2e31138aff9e0eff14da5e077278cb60bf2da0842f7b14777a81b98f",
+            "6ca9c6b1fbdaa0ca22a5dbeddb30216c84e75b3d1f30c7d6806f940c54f68f69",
+        ),
+        "sigma_order_quantized": (
+            ["montecarlo", "--mode", "accuracy", "--sigma-list", "0.1,0,0.1,0.01",
+             "--trials", "40", "--seed", "2026", "--quantize"],
+            "0a74dc044ca619e2c1aaeb04f8d50386772f06df971b41884744d4a38f97dfab",
+            "c5ea4c06b31ad59d72bc5625fa53d89f3641e32e7a51336b6bc5b5834cc38994",
         ),
         # Every link flag away from its default pins the serialized spec.link.
         "link": (

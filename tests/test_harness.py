@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from netsense import association, harness
@@ -136,6 +137,114 @@ class TestMeasureDistances:
         ms = measure_distances(scene, LinkBudgetParams(), 10.0, NoiseModel(), seed=0)
         assert ms.full_detection
         assert ms.profiles[0].distances == (0.0,)
+
+
+def partial_scene():
+    # t2 is out of every BS's coverage and t3 out of bs3's only.
+    return Scene(
+        anchors=(
+            Anchor("bs1", AnchorKind.BS, Point2(0.0, 0.0)),
+            Anchor("bs2", AnchorKind.BS, Point2(300.0, 0.0)),
+            Anchor("bs3", AnchorKind.BS, Point2(0.0, 300.0)),
+        ),
+        targets=(Target("t1", Point2(10.0, 10.0)), Target("t2", Point2(-380.0, -380.0)),
+                 Target("t3", Point2(350.0, 50.0))),
+        bounds=Bounds(-400, -400, 400, 400),
+    )
+
+
+def on_bs_scene():
+    # t1 sits on bs1, so quantized noise rounds some of its distances to
+    # zero from below; t2 has its own RCS, so coverage takes two radii.
+    return Scene(
+        anchors=small_scene().anchors,
+        targets=(Target("t1", Point2(-3.5, 0.0)), Target("t2", Point2(3.0, 3.0), 5.0),
+                 Target("t3", Point2(-3.0, -3.0))),
+        bounds=Bounds(-6, -6, 6, 6),
+    )
+
+
+def reference_measure(scene, link, snr_min_db, noise, seed):
+    """The scalar loop behind measure_distances: one generator call per covered pair."""
+    step = range_resolution(noise.bandwidth_hz) if noise.quantize_to_resolution else None
+    profiles, origins = [], []
+    detected = np.zeros((len(scene.base_stations), len(scene.targets)), dtype=bool)
+    for m, bs in enumerate(scene.base_stations):
+        rng = np.random.default_rng([seed, m])
+        values, sources = [], []
+        for k, target in enumerate(scene.targets):
+            d_true = true_distance(bs.position, target.position)
+            if d_true > 0.0 and not covered(replace(link, rcs_dbsm=target.rcs_dbsm),
+                                            snr_min_db, d_true):
+                continue
+            detected[m, k] = True
+            d = d_true + rng.normal(0.0, noise.range_sigma_m)
+            if step is not None:
+                d = round(d / step) * step
+            values.append(max(d, 0.0))
+            sources.append(k)
+        perm = rng.permutation(len(values))
+        profiles.append((bs.id, [values[i].hex() for i in perm]))
+        origins.append(tuple(sources[i] for i in perm))
+    return profiles, detected.tolist(), tuple(origins)
+
+
+def bits(ms):
+    """A MeasurementSet as exact values: float.hex tells 0.0 from -0.0."""
+    return ([(p.anchor_id, [d.hex() for d in p.distances]) for p in ms.profiles],
+            ms.detected.tolist(), ms.origins)
+
+
+class TestMeasureLevels:
+    NOISES = [NoiseModel(0.0), NoiseModel(0.5), NoiseModel(0.5, True), NoiseModel(0.0, True),
+              NoiseModel(2.0, True, 800e6), NoiseModel(0.5)]
+
+    @pytest.mark.parametrize("make", [small_scene, partial_scene, on_bs_scene],
+                             ids=["full", "partial", "on-bs"])
+    def test_each_level_is_its_own_draw(self, make):
+        scene = make()
+        link = LinkBudgetParams()
+        for seed in range(20):
+            levels = harness._measure_levels(scene, link, 10.0, self.NOISES, seed)
+            assert len(levels) == len(self.NOISES)
+            for noise, ms in zip(self.NOISES, levels):
+                assert bits(ms) == reference_measure(scene, link, 10.0, noise, seed)
+                assert bits(measure_distances(scene, link, 10.0, noise, seed)) == bits(ms)
+
+    def test_scenes_cover_partial_detection_and_zero_from_below(self):
+        link = LinkBudgetParams()
+        ms = measure_distances(partial_scene(), link, 10.0, NoiseModel(), 0)
+        assert ms.detected.tolist() == [[True, False, True], [True, False, True],
+                                        [True, False, False]]
+        zeros = [d for seed in range(20)
+                 for d in measure_distances(on_bs_scene(), link, 10.0,
+                                            NoiseModel(0.5, True), seed).profiles[0].distances
+                 if d == 0.0]
+        assert zeros and all(math.copysign(1.0, d) == 1.0 for d in zeros)
+
+
+class TestNoisyTolerance:
+    def test_true_association_stays_feasible(self):
+        # 3 sigma bounds the true row's rms unless chi^2_M > 9M, so in each of
+        # these 288 noisy trials every slot's true row passes the gate and
+        # the solver at the association tolerance.
+        link = LinkBudgetParams(pt_watts=math.inf)  # every pair detected
+        for n_bs in range(3, 9):
+            for k in range(2, 5):
+                for trial in range(16):
+                    seed = 1000 * n_bs + 100 * k + trial
+                    sigma = (0.1, 0.5, 1.0, 2.0)[trial % 4]
+                    scene = random_scene(n_bs, k, Bounds(-150, -150, 150, 150), seed=seed)
+                    ms = measure_distances(scene, link, 10.0, NoiseModel(sigma), seed)
+                    tol = harness._association_tol(1e-4, sigma)
+                    table = association.subproblem_table(ms.profiles, scene.bs_positions(), tol)
+                    for slot in range(k):
+                        target = ms.origins[0][slot]
+                        flat = sum(o.index(target) * k ** (n_bs - 1 - m)
+                                   for m, o in enumerate(ms.origins))
+                        row = int(np.searchsorted(table.flat, flat))
+                        assert row < len(table.flat) and table.flat[row] == flat, (seed, slot)
+                        assert table.rms[row] <= tol
 
 
 class TestUniquenessExperiment:
@@ -316,16 +425,19 @@ class TestChunking:
         assert run_uniqueness_experiment(self.SPEC).to_dict() == unique
         assert run_accuracy_experiment(self.SPEC, [0.0, 0.5]).to_dict() == accuracy
 
-    def test_cap_flushes_inside_a_sigma_level(self, monkeypatch):
+    def test_cap_flushes_inside_a_trial(self, monkeypatch):
         # The gate leaves about 3 of a trial's 81 rows at sigma 0 and about 8
-        # at sigma 0.5, so 64 survivors are reached inside the second level.
+        # at sigma 0.5, and a trial adds both levels in turn, so 64 survivors
+        # are reached between the two levels of some trial.
         accuracy = run_accuracy_experiment(self.SPEC, [0.0, 0.5]).to_dict()
         monkeypatch.setattr(harness, "CHUNK_ROWS", 64)
         log = SolverLog(monkeypatch)
         assert run_accuracy_experiment(self.SPEC, [0.0, 0.5]).to_dict() == accuracy
         levels = [tols for tols in log.levels if tols]
-        # Some solve ends inside the level that the next one continues.
-        assert any(done[-1] == after[0] for done, after in zip(levels, levels[1:]))
+        exact, noisy = self.SPEC.feas_tol_m, harness._association_tol(self.SPEC.feas_tol_m, 0.5)
+        # Some solve ends at a trial's sigma 0 table and the next starts at its sigma 0.5 one.
+        assert any(done[-1] == exact and after[0] == noisy
+                   for done, after in zip(levels, levels[1:]))
 
     def test_workers_under_a_row_cap(self, monkeypatch):
         unique = run_uniqueness_experiment(self.SPEC).to_dict()
@@ -344,13 +456,18 @@ class TestChunking:
         assert sizes == [2]
 
     def test_workers_clamped_to_jobs(self, monkeypatch):
+        # A job is one trial at every sigma level.
         spec = ExperimentSpec(random_plan=self.PLAN, trials=1, seed=21, feas_tol_m=1e-4)
         unique = run_uniqueness_experiment(spec).to_dict()
+        accuracy = run_accuracy_experiment(spec, [0.0, 0.5]).to_dict()
+        two = replace(spec, trials=2)
+        two_levels = run_accuracy_experiment(two, [0.0, 0.5]).to_dict()
         sizes = fake_pool(monkeypatch)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
         assert run_uniqueness_experiment(spec, workers=4).to_dict() == unique
-        assert run_accuracy_experiment(spec, [0.0, 0.5], workers=4).to_dict() == (
-            run_accuracy_experiment(spec, [0.0, 0.5]).to_dict())
+        assert run_accuracy_experiment(spec, [0.0, 0.5], workers=4).to_dict() == accuracy
+        assert sizes == []
+        assert run_accuracy_experiment(two, [0.0, 0.5], workers=4).to_dict() == two_levels
         assert sizes == [2]
 
     def test_every_solve_but_the_last_is_full(self, monkeypatch):

@@ -195,3 +195,10 @@ class TestSerialization:
         del data["targets"][0]["id"]
         with pytest.raises(ValueError, match="target #1: missing key 'id'"):
             scene_from_dict(data)
+
+    @pytest.mark.parametrize("kind, field", [("anchor", "anchors"), ("target", "targets")])
+    def test_repeated_id_refused(self, kind, field):
+        data = scene_to_dict(_scene([(0, 0), (5, 0), (0, 5)], [(1, 1), (2, 1)]))
+        data[field][1]["id"] = data[field][0]["id"]
+        with pytest.raises(ValueError, match=f"duplicate {kind} id: {data[field][0]['id']}"):
+            scene_from_dict(data)

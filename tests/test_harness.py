@@ -165,7 +165,7 @@ def on_bs_scene():
 
 
 def reference_measure(scene, link, snr_min_db, noise, seed):
-    """The scalar loop behind measure_distances: one generator call per covered pair."""
+    """Reference measure_distances: one scalar draw per covered pair, then the shuffle."""
     step = range_resolution(noise.bandwidth_hz) if noise.quantize_to_resolution else None
     profiles, origins = [], []
     detected = np.zeros((len(scene.base_stations), len(scene.targets)), dtype=bool)

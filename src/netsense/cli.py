@@ -529,10 +529,20 @@ def _cmd_associate(opts: dict) -> None:
         print(text, end="")
 
 
+def _load_sweep_scene(path: str) -> scene.Scene:
+    """The scene file of a trial sweep, refused at load when its BSs have a collinear
+    triple, on which every trial with full detection would fail."""
+    scn = scene.load_scene(path)
+    collinear = scene.collinear_bs_lines(scn)
+    if collinear:
+        raise ValueError(f"{path}: " + "; ".join(collinear))
+    return scn
+
+
 def _cmd_ghosts(opts: dict) -> None:
     _refuse_above(f"--trials {opts['trials']}", opts["trials"], "trial records",
                   MAX_TRIAL_RECORDS, TRIAL_RECORD_BYTES)
-    fixed_scene = scene.load_scene(opts["scene"]) if opts.get("scene") else None
+    fixed_scene = _load_sweep_scene(opts["scene"]) if opts.get("scene") else None
     bounds = scene.Bounds(*opts["bounds"])
     result = association.ghost_probability(
         num_trials=opts["trials"],
@@ -602,7 +612,7 @@ def _cmd_montecarlo(opts: dict) -> None:
         f" x {levels} --sigma-list levels" if accuracy else "")
     _refuse_above(request, opts["trials"] * levels, "trial records",
                   MAX_TRIAL_RECORDS, TRIAL_RECORD_BYTES)
-    fixed_scene = scene.load_scene(opts["scene"]) if opts.get("scene") else None
+    fixed_scene = _load_sweep_scene(opts["scene"]) if opts.get("scene") else None
     plan = None
     if fixed_scene is None:
         plan = harness.RandomScenePlan(

@@ -7,20 +7,22 @@ or worker count.
 Trials run as streams. A stream draws each trial's scene once and its
 measurements at every noise level from one draw per BS, and keeps the
 distance sets of its full-detection (trial, level) problems; once they
-span CHUNK_ROWS subproblem rows (K^M per problem) it gates them in one join
-at each problem's association tolerance, which builds only the rows that
-survive, and once CHUNK_ROWS rows survive it solves them in one call and
-scores each problem drawn so far from its own table. No ungated row is ever
-built. The worker count is clamped to the trials and the CPUs: one worker
-runs all trials as one stream in-process, and N > 1 run one contiguous
-slice of trials each in a process pool. The report lists records by sigma,
-then trial.
+span GATE_ROWS subproblem rows (K^M per problem), and at the end of the
+stream, it gates them in one join at each problem's association tolerance,
+which builds only the rows that survive. It then solves the gated problems
+in runs from the front that hold CHUNK_ROWS survivors each, one call per
+run, and scores each problem of a run from its own table; the rest wait for
+the next gate. No ungated row is ever built. The worker count is clamped to
+the trials and the CPUs: one worker runs all trials as one stream
+in-process, and N > 1 run one contiguous slice of trials each in a process
+pool. The report lists records by sigma, then trial.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
@@ -41,15 +43,22 @@ from .scene import Bounds, Scene, random_scene, scene_to_dict, true_distance
 
 CORRECT_MATCH_RADIUS_M = 1e-3
 
-# Solver rows stacked into one call, and subproblem rows (K^M per trial)
-# decided by one gate.
-# A stream solves once this many rows survive the gate, so every call but a
-# stream's last holds at least CHUNK_ROWS rows and fewer than
-# 2 * CHUNK_ROWS + K^M. At 256 rows the mc-accuracy benchmark peaks at
-# 40.3 MiB RSS (median of 10 runs), against 40.5 MiB when calls held 256
-# rows before the gate; 512 rows cost about 1 MiB more and 1024 rows about
-# 1.8 MiB, for 1.2-1.6x more speed (2-core x86, Python 3.11, numpy 2.4).
+# Solver rows stacked into one call. Each solve takes the shortest run of
+# gated problems, from the front, that holds this many survivors, so every
+# call but a stream's last holds at least CHUNK_ROWS rows and fewer than
+# CHUNK_ROWS plus one problem's survivors. At 256 rows the mc-accuracy
+# benchmark peaks at 40.3 MiB RSS (median of 10 runs), against 40.5 MiB when
+# calls held 256 rows before the gate; 512 rows cost about 1 MiB more and
+# 1024 rows about 1.8 MiB, for 1.2-1.6x more speed (2-core x86, Python 3.11,
+# numpy 2.4).
 CHUNK_ROWS = 256
+
+# Subproblem rows (K^M per problem) a stream gates in one join. At tol = inf
+# every row survives, so this also bounds the rows the join holds: one join
+# of 51 K=3, M=4 problems (4,131 rows) peaks at 0.91 MB traced (tracemalloc),
+# and the largest gate of 20 mc-accuracy calls at 0.37 MB, against 0.52 MB
+# when a gate followed every 256 rows (Python 3.11, numpy 2.4).
+GATE_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -319,20 +328,28 @@ def _run_stream(args: tuple) -> list[dict]:
     Each trial's scene is drawn once, and its measurements at every level
     come from one draw (``_measure_levels``). Each full-detection level adds
     its problem at its association tolerance. Once the problems added span
-    CHUNK_ROWS subproblem rows they are gated in one join, which builds only
-    the survivors; once CHUNK_ROWS rows survive, they are solved in one call
-    and the problems drawn so far are scored from their own tables with
-    ``make_record``, which searches each table at its ``gate_tol``, the
-    problem's association tolerance.
+    GATE_ROWS subproblem rows, and at the end of the stream, they are gated
+    in one join, which builds only the survivors. After each gate, every
+    shortest run of gated problems, from the front, that holds CHUNK_ROWS
+    survivors is solved in one call, and the stream's last solve takes
+    what is left. The problems of each solve are scored in trial order from
+    their own tables with ``make_record``, which searches each table at its
+    ``gate_tol``, the problem's association tolerance.
     """
     make_record, spec, noises, jobs = args
     records: list[dict] = []
-    batch, drawn = SubproblemBatch(), []
+    batch, drawn = SubproblemBatch(), deque()
 
-    def score() -> None:
-        tables = iter(batch.solve())
-        records.extend(make_record(*d, next(tables) if d[-1].full_detection else None)
-                       for d in drawn)
+    def score(ready: SubproblemBatch) -> None:
+        for table in ready.solve():
+            while not drawn[0][-1].full_detection:
+                records.append(make_record(*drawn.popleft(), None))
+            records.append(make_record(*drawn.popleft(), table))
+
+    def gate() -> None:
+        batch.gate()
+        while (ready := batch.split(CHUNK_ROWS)) is not None:
+            score(ready)
 
     for trial, trial_seed in jobs:
         scene = _trial_scene(spec, trial_seed)
@@ -344,12 +361,11 @@ def _run_stream(args: tuple) -> list[dict]:
                 continue
             batch.add(ms.profiles, anchors,
                       _association_tol(spec.feas_tol_m, noise.effective_sigma_m()))
-            if batch.ungated_rows >= CHUNK_ROWS:
-                batch.gate()
-            if batch.survivors >= CHUNK_ROWS:
-                score()
-                batch, drawn = SubproblemBatch(), []
-    score()
+            if batch.ungated_rows >= GATE_ROWS:
+                gate()
+    gate()
+    score(batch)
+    records.extend(make_record(*d, None) for d in drawn)
     return records
 
 

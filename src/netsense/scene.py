@@ -169,11 +169,14 @@ def validate_scene(scene: Scene) -> ValidationReport:
         if not scene.bounds.contains(t.position):
             violations.append(f"target {t.id} outside bounds at ({t.position.x}, {t.position.y})")
 
-    ids = [a.id for a in scene.base_stations]
-    for triple in collinear_triples(scene.bs_positions()):
-        violations.append(f"collinear BS triple: {', '.join(ids[n] for n in triple)}")
+    return ValidationReport(tuple(violations + collinear_bs_lines(scene)))
 
-    return ValidationReport(tuple(violations))
+
+def collinear_bs_lines(scene: Scene) -> list[str]:
+    """One 'collinear BS triple: <ids>' line per collinear triple of the scene's BSs."""
+    ids = [a.id for a in scene.base_stations]
+    return [f"collinear BS triple: {', '.join(ids[n] for n in triple)}"
+            for triple in collinear_triples(scene.bs_positions())]
 
 
 def random_scene(

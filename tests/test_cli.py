@@ -174,6 +174,25 @@ class TestSceneJson:
         assert f"{path}: duplicate anchor id: bs1" in err
         assert not report.exists()
 
+    # Every trial with full detection would fail on these BSs, so the trial
+    # sweeps refuse the scene at load, naming the file and the BS ids.
+    @pytest.mark.parametrize("command", ["ghosts", "montecarlo"])
+    def test_collinear_bs_refused_at_load(self, capsys, tmp_path, monkeypatch, command):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({
+            "bounds": [-20, -20, 20, 20],
+            "anchors": [{"id": f"bs{i}", "kind": "bs", "x": x, "y": 0.0}
+                        for i, x in enumerate([0.0, 5.0, 9.0], start=1)],
+            "targets": [{"id": "t1", "x": 3.0, "y": 4.0, "rcs_dbsm": -10.0}],
+        }))
+        monkeypatch.setattr(harness, "_run_trials", None)  # no trial may run
+        report = tmp_path / "r.json"
+        code, out, err = run_cli(capsys, [command, "--scene", str(path), "--trials", "3",
+                                          "--out", str(report)])
+        assert (code, out) == (1, "")
+        assert f"{path}: collinear BS triple: bs1, bs2, bs3" in err
+        assert not report.exists()
+
 
 
 class TestCoverage:

@@ -387,11 +387,11 @@ class SolverLog:
 
     The rest would be solver calls outside a batch solve; the harness makes
     none. ``levels`` holds, per batch solve, the gate tolerance of each
-    table it returned.
+    table it returned, and ``solves`` the tables themselves.
     """
 
     def __init__(self, monkeypatch):
-        self.stacked, self.other, self.tables, self.levels = [], [], [], []
+        self.stacked, self.other, self.tables, self.levels, self.solves = [], [], [], [], []
         self._in_batch = False
         solve_rows, batch_solve = association.solve_ranges_batch, association.SubproblemBatch.solve
 
@@ -407,6 +407,7 @@ class SolverLog:
                 self._in_batch = False
             self.tables.extend(tables)
             self.levels.append([t.gate_tol for t in tables])
+            self.solves.append(tables)
             return tables
 
         monkeypatch.setattr(association, "solve_ranges_batch", counting_solver)
@@ -477,8 +478,9 @@ class TestChunking:
         cap, rows = harness.CHUNK_ROWS, 3 ** 4
         assert len(log.stacked) > 2
         assert all(n >= cap for n in log.stacked[:-1])
-        # A solve follows the gate that lifts survivors to the cap, and a gate
-        # follows the trial that lifts ungated rows to it.
+        # A solve takes the shortest run of gated problems, from the front,
+        # that lifts survivors to the cap, so it holds fewer than the cap plus
+        # one problem's survivors, at most K^M; the bound below is looser.
         assert max(log.stacked) < 2 * cap + rows
         assert log.other == []
         assert sum(t.solved_rows for t in log.tables) == sum(log.stacked)
@@ -521,3 +523,57 @@ class TestChunking:
         partial = [r["partial"] for r in report.records]
         assert any(partial) and not all(partial)
         assert all(r["correct_found"] for r in report.records if not r["partial"])
+
+    def test_a_short_sweep_gates_once(self, monkeypatch):
+        # 10 trials at four levels hold at most 40 * 81 = 3,240 rows, under
+        # one gate budget, so the stream gates once, at its end.
+        spec = ExperimentSpec(random_plan=self.PLAN, trials=10, seed=21, feas_tol_m=1e-4)
+        assert 10 * 4 * 3 ** 4 < harness.GATE_ROWS
+        calls, gate = [], association._gate
+        monkeypatch.setattr(association, "_gate", lambda *args: calls.append(1) or gate(*args))
+        run_accuracy_experiment(spec, [0.0, 0.1, 0.5, 1.0])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("cap", [64, 256])
+    @pytest.mark.parametrize("budget", [1, 81, 4096, 1 << 20])
+    def test_reports_independent_of_gate_budget(self, monkeypatch, budget, cap):
+        # 40 trials at four levels span 12,960 rows: three full budgets of 4,096.
+        spec = replace(self.SPEC, trials=40)
+        sigmas = [0.0, 0.1, 0.5, 1.0]
+        unique = run_uniqueness_experiment(spec).to_dict()
+        accuracy = run_accuracy_experiment(spec, sigmas).to_dict()
+        monkeypatch.setattr(harness, "GATE_ROWS", budget)
+        monkeypatch.setattr(harness, "CHUNK_ROWS", cap)
+        assert run_uniqueness_experiment(spec).to_dict() == unique
+        assert run_accuracy_experiment(spec, sigmas).to_dict() == accuracy
+
+    @pytest.mark.parametrize("cap", [64, 256])
+    def test_every_solve_but_the_last_stops_at_the_cap(self, monkeypatch, cap):
+        # Each solve but the stream's last is the shortest run of problems that
+        # reaches the cap: without its last problem it falls short.
+        monkeypatch.setattr(harness, "CHUNK_ROWS", cap)
+        log = SolverLog(monkeypatch)
+        spec = ExperimentSpec(random_plan=self.PLAN, trials=40, seed=22, feas_tol_m=1e-4)
+        run_accuracy_experiment(spec, [0.0, 0.1, 0.5, 1.0])
+        sizes = [[t.solved_rows for t in tables] for tables in log.solves]
+        assert len(sizes) > 2
+        for rows in sizes[:-1]:
+            assert sum(rows[:-1]) < cap <= sum(rows) < cap + max(rows)
+        assert [sum(rows) for rows in sizes if rows] == log.stacked
+
+    def test_one_gate_budget_at_tol_inf(self):
+        # At tol = inf every row survives, so one join holds a full budget:
+        # 51 K=3, M=4 problems, 4,131 rows. It peaks near 0.91 MB.
+        problems = -(-harness.GATE_ROWS // 3 ** 4)
+        batch = association.SubproblemBatch()
+        for seed in range(problems):
+            scene = random_scene(4, 3, Bounds(-150, -150, 150, 150), seed=seed)
+            batch.add(association.exact_profiles(scene), scene.bs_positions())
+        tracemalloc.start()
+        try:
+            batch.gate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.survivors == problems * 3 ** 4
+        assert peak < 1.2e6

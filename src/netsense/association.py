@@ -95,13 +95,14 @@ class GhostReport:
     ghost_positions: tuple[Point2, ...]
 
 
-def _check_inputs(profiles: Sequence[DistanceProfile], anchors_xy: np.ndarray) -> tuple[int, int]:
+def _check_inputs(sizes: Sequence[int], anchors_xy: np.ndarray) -> tuple[int, int]:
+    """(K, M) of a problem whose profiles hold ``sizes`` distances each; refuses bad input."""
     n_anchors = len(anchors_xy)
-    if len(profiles) != n_anchors:
+    if len(sizes) != n_anchors:
         raise ValueError("one distance profile per anchor required")
     if n_anchors < 3:
         raise ValueError("need at least 3 anchors")
-    cardinalities = {len(p.distances) for p in profiles}
+    cardinalities = set(sizes)
     if len(cardinalities) > 1:
         raise UnequalCardinalityError(
             f"profiles report different target counts: {sorted(cardinalities)}"
@@ -234,6 +235,8 @@ def _gate(dists: Sequence[np.ndarray], anchors: np.ndarray,
         allowance = pair_slack[problem, None] + GATE_ROUNDING * (di + dj + gap)
         keep = ((np.abs(di - dj) <= gap + allowance) & (di + dj >= gap - allowance)).all(axis=1)
         problem, flat, ranges = problem[keep], flat[keep], ranges[keep]
+    # The last extension's arrays (di and dj view its unfiltered ranges) are dead.
+    del width, parent, index, di, dj, gap, allowance, keep
     return with_triples(problem, flat, ranges, slice(done, len(triples)))
 
 
@@ -359,7 +362,8 @@ class SubproblemBatch:
     """Subproblem rows of several association problems, solved in one call.
 
     ``add`` validates one problem and keeps its distances, anchors and
-    feasibility tolerance, counting its K^M rows in ``ungated_rows``;
+    feasibility tolerance, counting its K^M rows in ``ungated_rows``
+    (``_add`` keeps one without validating it);
     ``gate`` builds the ``survivors`` of every problem added since, in one
     join (see ``_gate``); ``split`` moves the shortest run of gated
     problems, from the front, that holds a given number of survivors into a
@@ -380,13 +384,18 @@ class SubproblemBatch:
     def add(self, profiles: Sequence[DistanceProfile], anchors, tol: float = math.inf) -> None:
         """Keep one problem for the next gate; ``tol`` = inf gates nothing."""
         anchors_xy = np.asarray(anchors, float).reshape(-1, 2)
-        n_targets, n_anchors = _check_inputs(profiles, anchors_xy)
+        _, n_anchors = _check_inputs([len(p.distances) for p in profiles], anchors_xy)
         if self._dists and len(self._dists[0]) != n_anchors:
             raise ValueError("every problem in a batch needs the same anchor count")
-        self._dists.append(np.array([p.distances for p in profiles], float))
+        self._add(np.array([p.distances for p in profiles], float), anchors_xy, tol)
+
+    def _add(self, dists: np.ndarray, anchors_xy: np.ndarray, tol: float) -> None:
+        """Keep a problem as ``add`` does, unchecked: its (M, K) ``dists`` and (M, 2)
+        anchors passed ``_check_inputs``, and M is the batch's."""
+        self._dists.append(dists)
         self._anchors.append(anchors_xy)
         self._tols.append(tol)
-        self.ungated_rows += n_targets ** n_anchors
+        self.ungated_rows += dists.shape[1] ** dists.shape[0]
 
     def gate(self) -> None:
         """Build the surviving rows of every problem added since the last gate, in one join."""

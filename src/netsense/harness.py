@@ -4,18 +4,23 @@ Every trial draws from its own child stream of the master seed (indexed by
 trial number), so reports are byte-identical regardless of execution order
 or worker count.
 
-Trials run as streams. A stream draws each trial's scene once and its
-measurements at every noise level from one draw per BS, and keeps the
-distance sets of its full-detection (trial, level) problems; once they
-span GATE_ROWS subproblem rows (K^M per problem), and at the end of the
-stream, it gates them in one join at each problem's association tolerance,
-which builds only the rows that survive. It then solves the gated problems
-in runs from the front that hold CHUNK_ROWS survivors each, one call per
-run, and scores each problem of a run from its own table; the rest wait for
-the next gate. No ungated row is ever built. The worker count is clamped to
-the trials and the CPUs: one worker runs all trials as one stream
-in-process, and N > 1 run one contiguous slice of trials each in a process
-pool. The report lists records by sigma, then trial.
+Trials run as streams, which carry each trial as arrays from draw to
+record. A stream draws each trial's BS and target coordinates once, builds
+no Scene, and draws its measurements at every noise level from one draw
+per BS, against coverage radii worked out once per stream. It checks its
+first full-detection problem once, and keeps the (M, K) distances of its
+full-detection (trial, level) problems; once they span GATE_ROWS
+subproblem rows (K^M per problem), and at the end of the stream, it gates
+them in one join at each problem's association tolerance, which builds
+only the rows that survive. It then solves the gated problems in runs from
+the front that hold CHUNK_ROWS survivors each, one call per run, and
+scores each problem of a run from its own table against the trial's true
+coordinates: a uniqueness record from the rows of every feasible
+hypothesis, an accuracy record from the best solution. No ungated row is
+ever built. The worker count is clamped to the trials and the CPUs: one
+worker runs all trials as one stream in-process, and N > 1 run one
+contiguous slice of trials each in a process pool. The report lists
+records by sigma, then trial.
 """
 
 from __future__ import annotations
@@ -25,21 +30,23 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .association import (
-    AssociationSolution,
     DistanceProfile,
     SubproblemBatch,
     _best_solution,
-    enumerate_feasible,
+    _check_inputs,
+    _search,
+    enumerate_feasible,  # noqa: F401  kept under this name for bench/tracing.py
     solve_association_bnb,  # noqa: F401  kept under this name for bench/tracing.py
 )
 from .link_budget import LinkBudgetParams, max_sensing_range, range_resolution
 from .link_budget import covered  # noqa: F401  kept under this name for bench/tracing.py
-from .scene import Bounds, Scene, random_scene, scene_to_dict, true_distance
+from .scene import Bounds, Scene, _draw_layout, scene_to_dict
+from .scene import random_scene  # noqa: F401  kept under this name for bench/tracing.py
 
 CORRECT_MATCH_RADIUS_M = 1e-3
 
@@ -179,23 +186,64 @@ def _measure_levels(
     noises: Sequence[NoiseModel],
     seed: int,
 ) -> list[MeasurementSet]:
-    """``measure_distances`` of one scene at each noise level, from one draw.
+    """``measure_distances`` of one scene at each noise level, from one draw (see
+    ``_measure_arrays``)."""
+    stations = scene.base_stations
+    seen, levels = _measure_arrays(
+        scene.bs_positions(), scene.target_positions(),
+        _coverage_radii(link, snr_min_db, [t.rcs_dbsm for t in scene.targets]),
+        [bs.id for bs in stations], noises, seed)
+    return [MeasurementSet(profiles=tuple(DistanceProfile(bs.id, tuple(values))
+                                          for bs, values in zip(stations, level)),
+                           detected=seen.detected, origins=seen.origins)
+            for level in levels]
 
-    True distances and coverage are worked out once, coverage once per
-    distinct RCS. BS m's generator ``default_rng([seed, m])`` draws one
-    standard normal z per covered target, in target order, then a
-    permutation of them. A level's distance is ``d_true + (0.0 + sigma * z)``,
-    bitwise numpy's ``normal(0, sigma)`` (``loc + scale * z``), then rounded
-    and clamped at 0 as Python floats, so each level is what its own draw
-    would give.
-    """
-    stations, targets = scene.base_stations, scene.targets
+
+def _coverage_radii(link: LinkBudgetParams, snr_min_db: float,
+                    rcs_dbsm: Sequence[float]) -> list[float]:
+    """Each target's sensing radius, worked out once per distinct RCS; refuses a
+    non-finite RCS, as ``Target`` does."""
+    for rcs in rcs_dbsm:
+        if not math.isfinite(rcs):
+            raise ValueError(f"rcs_dbsm must be finite, got {rcs}")
     reach = {rcs: max_sensing_range(replace(link, rcs_dbsm=rcs), snr_min_db)
-             for rcs in {t.rcs_dbsm for t in targets}}
-    radii = [reach[t.rcs_dbsm] for t in targets]
+             for rcs in set(rcs_dbsm)}
+    return [reach[rcs] for rcs in rcs_dbsm]
+
+
+class _Detections(NamedTuple):
+    """What a trial's records read of its measurements, the same at every noise level."""
+
+    detected: np.ndarray  # (num_bs, num_targets) bool
+    origins: tuple[tuple[int, ...], ...]
+    full_detection: bool
+
+
+def _measure_arrays(
+    bs_xy: np.ndarray,
+    target_xy: np.ndarray,
+    radii: Sequence[float],
+    ids: Sequence[str],
+    noises: Sequence[NoiseModel],
+    seed: int,
+) -> tuple[_Detections, list[list[list[float]]]]:
+    """One layout's detections and its distances at each noise level, from one draw.
+
+    ``bs_xy`` (M, 2) and ``target_xy`` (K, 2) place BSs named ``ids`` and
+    targets covered within ``radii``. True distances are ``math.hypot`` of
+    Python floats, and a target is detected within its radius. BS m's
+    generator ``default_rng([seed, m])`` draws one standard normal z per
+    covered target, in target order, then a permutation of them. A level's
+    distance is ``d_true + (0.0 + sigma * z)``, bitwise numpy's
+    ``normal(0, sigma)`` (``loc + scale * z``), then rounded and clamped at 0
+    as Python floats, so each level is what its own draw would give.
+    ``levels[l][m]`` lists BS m's distances at ``noises[l]`` in reported
+    order; a non-finite one raises ValueError naming the BS.
+    """
+    targets = target_xy.tolist()
     flags, draws, origins = [], [], []
-    for m, bs in enumerate(stations):
-        dists = [true_distance(bs.position, t.position) for t in targets]
+    for m, (bx, by) in enumerate(bs_xy.tolist()):
+        dists = [math.hypot(bx - tx, by - ty) for tx, ty in targets]
         # Zero distance (target at the BS) is trivially inside coverage.
         flags.append([d == 0.0 or d <= r for d, r in zip(dists, radii)])
         sources = [k for k, seen in enumerate(flags[-1]) if seen]
@@ -204,34 +252,27 @@ def _measure_levels(
         perm = rng.permutation(len(sources)).tolist()
         draws.append(([dists[k] for k in sources], z, perm))
         origins.append(tuple(sources[i] for i in perm))
-    detected = np.array(flags, dtype=bool).reshape(len(stations), len(targets))
+    detected = np.array(flags, dtype=bool).reshape(len(draws), len(targets))
 
     levels = []
     for noise in noises:
         sigma = noise.range_sigma_m
         step = range_resolution(noise.bandwidth_hz) if noise.quantize_to_resolution else None
-        profiles = []
-        for bs, (d_true, z, perm) in zip(stations, draws):
+        level = []
+        for bs_id, (d_true, z, perm) in zip(ids, draws):
             values = [d + (0.0 + sigma * x) for d, x in zip(d_true, z)]
             if step is not None:
                 values = [round(d / step) * step for d in values]
-            profiles.append(DistanceProfile(anchor_id=bs.id,
-                                            distances=tuple(max(values[i], 0.0) for i in perm)))
-        levels.append(MeasurementSet(profiles=tuple(profiles), detected=detected,
-                                     origins=tuple(origins)))
-    return levels
+            values = [max(values[i], 0.0) for i in perm]
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{bs_id}: distances must be finite")
+            level.append(values)
+        levels.append(level)
+    return _Detections(detected, tuple(origins), bool(detected.all())), levels
 
 
 def _trial_seeds(seed: int, trials: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(trials)]
-
-
-def _trial_scene(spec: ExperimentSpec, trial_seed: int) -> Scene:
-    if spec.scene is not None:
-        return spec.scene
-    plan = spec.random_plan
-    return random_scene(plan.num_bs, plan.num_targets, plan.bounds,
-                        rcs_dbsm=plan.rcs_dbsm, seed=trial_seed)
 
 
 def _association_tol(base_tol: float, sigma_eff: float) -> float:
@@ -244,32 +285,35 @@ def _association_tol(base_tol: float, sigma_eff: float) -> float:
     return max(base_tol, 3.0 * sigma_eff)
 
 
-def _score(solution: AssociationSolution, scene: Scene,
+def _score(assignment: tuple[tuple[int, ...], ...], positions: Sequence[Sequence[float]],
+           truth_xy: Sequence[Sequence[float]],
            origins: tuple[tuple[int, ...], ...]) -> tuple[bool, bool, float]:
-    """Score one solution against ground truth via measurement provenance.
+    """Score one hypothesis against ground truth via measurement provenance.
 
-    Returns (consistent, matched, rmse): whether every slot's distances come
-    from one true target, whether additionally every estimate lies within
-    CORRECT_MATCH_RADIUS_M of it, and the RMS position error.
+    ``positions`` holds each slot's (x, y) estimate and ``truth_xy`` each
+    target's. Returns (consistent, matched, rmse): whether every slot's
+    distances come from one true target, whether additionally every
+    estimate lies within CORRECT_MATCH_RADIUS_M of it, and the RMS position
+    error.
     """
-    truth_xy = scene.target_positions()
-    assignment = solution.hypothesis.assignment
     consistent = all(
         origins[m][assignment[m][k]] == origins[0][k]
         for m in range(len(assignment))
         for k in range(len(assignment[0]))
     )
-    errors = []
-    for k, est in enumerate(solution.estimates):
-        t = truth_xy[origins[0][k]]
-        errors.append((est.position.x - t[0]) ** 2 + (est.position.y - t[1]) ** 2)
-    rmse = math.sqrt(sum(errors) / len(errors))
+    errors = [(x - tx) ** 2 + (y - ty) ** 2
+              for (x, y), (tx, ty) in zip(positions, (truth_xy[t] for t in origins[0]))]
+    total = 0.0  # left to right: from Python 3.12, sum() of floats is compensated
+    for e in errors:
+        total += e
+    rmse = math.sqrt(total / len(errors))
     matched = consistent and all(math.sqrt(e) <= CORRECT_MATCH_RADIUS_M for e in errors)
     return consistent, matched, rmse
 
 
-def _uniqueness_record(trial: int, trial_seed: int, scene: Scene, noise: NoiseModel,
-                       ms: MeasurementSet, table) -> dict:
+def _uniqueness_record(trial: int, trial_seed: int, truth_xy: Sequence[Sequence[float]],
+                       noise: NoiseModel, ms, table) -> dict:
+    """One trial's uniqueness record; ``ms`` is its MeasurementSet or _Detections."""
     record = {
         "trial": trial,
         "seed": trial_seed,
@@ -284,21 +328,24 @@ def _uniqueness_record(trial: int, trial_seed: int, scene: Scene, noise: NoiseMo
     if record["partial"]:
         return record
 
-    solutions = enumerate_feasible(ms.profiles, scene.bs_positions(), table.gate_tol,
-                                   table=table)
-    scores = [_score(s, scene, ms.origins) for s in solutions]
+    # Every feasible hypothesis, as enumerate_feasible lists them, unsorted.
+    found, _ = _search(table, table.gate_tol, best=False)
+    positions = table.positions.tolist()
+    scores = [_score(assignment, [positions[r] for r in rows], truth_xy, ms.origins)
+              for _, assignment, rows in found]
     correct = [rmse for _, matched, rmse in scores if matched]
     record.update(
-        feasible_count=len(solutions),
-        ghost=len(solutions) > 1,
+        feasible_count=len(found),
+        ghost=len(found) > 1,
         correct_found=bool(correct),
         rmse_m=min(correct) if correct else None,
     )
     return record
 
 
-def _accuracy_record(trial: int, trial_seed: int, scene: Scene, noise: NoiseModel,
-                     ms: MeasurementSet, table) -> dict:
+def _accuracy_record(trial: int, trial_seed: int, truth_xy: Sequence[Sequence[float]],
+                     noise: NoiseModel, ms, table) -> dict:
+    """One (trial, level) accuracy record; ``ms`` is its MeasurementSet or _Detections."""
     record = {
         "sigma_m": noise.range_sigma_m,
         "trial": trial,
@@ -316,7 +363,9 @@ def _accuracy_record(trial: int, trial_seed: int, scene: Scene, noise: NoiseMode
         record.update(infeasible=True, correct=False)
         return record
 
-    consistent, _, rmse = _score(solution, scene, ms.origins)
+    positions = [(e.position.x, e.position.y) for e in solution.estimates]
+    consistent, _, rmse = _score(solution.hypothesis.assignment, positions, truth_xy,
+                                 ms.origins)
     record.update(infeasible=False, correct=consistent, rmse_m=rmse)
     return record
 
@@ -325,20 +374,37 @@ def _run_stream(args: tuple) -> list[dict]:
     """Records of one stream of (trial, trial seed) jobs, trial by trial, each
     at every noise level in order.
 
-    Each trial's scene is drawn once, and its measurements at every level
-    come from one draw (``_measure_levels``). Each full-detection level adds
-    its problem at its association tolerance. Once the problems added span
+    Each trial's coordinates are drawn once as arrays (``_draw_layout``, or
+    the fixed scene's), and its measurements at every level come from one
+    draw (``_measure_arrays``), with coverage radii worked out once per
+    stream; no Scene or DistanceProfile is built. The stream's first
+    full-detection problem is checked once (``_check_inputs``): every
+    problem of a stream has its K and M, and its anchors are the fixed
+    scene's or a layout the draw checked for collinear triples. Each
+    full-detection level adds its (M, K) distances at its association
+    tolerance (``SubproblemBatch._add``). Once the problems added span
     GATE_ROWS subproblem rows, and at the end of the stream, they are gated
     in one join, which builds only the survivors. After each gate, every
     shortest run of gated problems, from the front, that holds CHUNK_ROWS
     survivors is solved in one call, and the stream's last solve takes
-    what is left. The problems of each solve are scored in trial order from
-    their own tables with ``make_record``, which searches each table at its
-    ``gate_tol``, the problem's association tolerance.
+    what is left. The problems of each solve are scored in trial order
+    from their own tables with ``make_record``, which searches each table
+    at its ``gate_tol``, the problem's association tolerance, and scores
+    against the trial's true target coordinates.
     """
     make_record, spec, noises, jobs = args
     records: list[dict] = []
     batch, drawn = SubproblemBatch(), deque()
+    if spec.scene is not None:
+        scene = spec.scene
+        layout = scene.bs_positions(), scene.target_positions()
+        ids = [bs.id for bs in scene.base_stations]
+        rcs = [t.rcs_dbsm for t in scene.targets]
+    else:
+        plan, layout = spec.random_plan, None
+        ids = [f"bs{m + 1}" for m in range(plan.num_bs)]
+        rcs = [plan.rcs_dbsm] * plan.num_targets
+    radii, checked = None, False
 
     def score(ready: SubproblemBatch) -> None:
         for table in ready.solve():
@@ -352,15 +418,21 @@ def _run_stream(args: tuple) -> list[dict]:
             score(ready)
 
     for trial, trial_seed in jobs:
-        scene = _trial_scene(spec, trial_seed)
-        anchors = scene.bs_positions()
-        levels = _measure_levels(scene, spec.link, spec.snr_min_db, noises, trial_seed)
-        for noise, ms in zip(noises, levels):
-            drawn.append((trial, trial_seed, scene, noise, ms))
-            if not ms.full_detection:
+        bs_xy, target_xy = layout or _draw_layout(plan.num_bs, plan.num_targets, plan.bounds,
+                                                  trial_seed)
+        if radii is None:  # after the first draw, which refuses a bad plan first
+            radii = _coverage_radii(spec.link, spec.snr_min_db, rcs)
+        seen, levels = _measure_arrays(bs_xy, target_xy, radii, ids, noises, trial_seed)
+        truth_xy = target_xy.tolist()
+        for noise, level in zip(noises, levels):
+            drawn.append((trial, trial_seed, truth_xy, noise, seen))
+            if not seen.full_detection:
                 continue
-            batch.add(ms.profiles, anchors,
-                      _association_tol(spec.feas_tol_m, noise.effective_sigma_m()))
+            if not checked:
+                _check_inputs([len(values) for values in level], bs_xy)
+                checked = True
+            batch._add(np.array(level), bs_xy,
+                       _association_tol(spec.feas_tol_m, noise.effective_sigma_m()))
             if batch.ungated_rows >= GATE_ROWS:
                 gate()
     gate()

@@ -179,6 +179,45 @@ def collinear_bs_lines(scene: Scene) -> list[str]:
             for triple in collinear_triples(scene.bs_positions())]
 
 
+def _draw_layout(
+    num_bs: int,
+    num_targets: int,
+    bounds: Bounds,
+    seed: int = 0,
+    collinearity_tol: float = DEFAULT_COLLINEARITY_TOL,
+    max_attempts: int = 1000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (num_bs, 2) BS and (num_targets, 2) target coordinates ``random_scene`` places.
+
+    ``default_rng(seed)`` draws BS layouts uniformly in ``bounds`` until
+    one has no collinear triple within ``collinearity_tol``, then the
+    targets. The first attempt draws its BSs and the targets in one call,
+    the same doubles in the same order as two calls; only when its layout
+    is rejected does the loop replay from a fresh generator. Raises
+    SceneGenerationError after max_attempts rejected layouts.
+    """
+    if num_bs < 3:
+        raise ValueError("need at least 3 base stations")
+    if num_targets < 0:
+        raise ValueError("num_targets must be nonnegative")
+
+    lo = np.array([bounds.xmin, bounds.ymin])
+    hi = np.array([bounds.xmax, bounds.ymax])
+    xy = np.random.default_rng(seed).uniform(lo, hi, size=(num_bs + num_targets, 2))
+    if max_attempts > 0 and next(collinear_triples(xy[:num_bs], collinearity_tol), None) is None:
+        return xy[:num_bs], xy[num_bs:]
+
+    rng = np.random.default_rng(seed)
+    for _ in range(max_attempts):
+        bs_xy = rng.uniform(lo, hi, size=(num_bs, 2))
+        if next(collinear_triples(bs_xy, collinearity_tol), None) is None:
+            return bs_xy, rng.uniform(lo, hi, size=(num_targets, 2))
+    raise SceneGenerationError(
+        f"could not place {num_bs} BSs without a collinear triple "
+        f"in {max_attempts} attempts (tol={collinearity_tol})"
+    )
+
+
 def random_scene(
     num_bs: int,
     num_targets: int,
@@ -190,35 +229,17 @@ def random_scene(
 ) -> Scene:
     """Draw a uniform random scene, rejecting BS layouts with collinear triples.
 
-    Deterministic for a given seed. Raises SceneGenerationError when the
-    rejection loop exceeds max_attempts (e.g. with an absurd tolerance).
+    The scene of the coordinates ``_draw_layout`` places, with BSs bs1..bsM
+    and targets t1..tK of RCS ``rcs_dbsm``. Deterministic for a given seed.
+    Raises SceneGenerationError when the rejection loop exceeds
+    max_attempts (e.g. with an absurd tolerance).
     """
-    if num_bs < 3:
-        raise ValueError("need at least 3 base stations")
-    if num_targets < 0:
-        raise ValueError("num_targets must be nonnegative")
-
-    rng = np.random.default_rng(seed)
-    lo = np.array([bounds.xmin, bounds.ymin])
-    hi = np.array([bounds.xmax, bounds.ymax])
-
-    for _ in range(max_attempts):
-        xy = rng.uniform(lo, hi, size=(num_bs, 2))
-        if next(collinear_triples(xy, collinearity_tol), None) is None:
-            anchors = tuple(Anchor(f"bs{i + 1}", AnchorKind.BS, Point2(float(x), float(y)))
-                            for i, (x, y) in enumerate(xy))
-            break
-    else:
-        raise SceneGenerationError(
-            f"could not place {num_bs} BSs without a collinear triple "
-            f"in {max_attempts} attempts (tol={collinearity_tol})"
-        )
-
-    txy = rng.uniform(lo, hi, size=(num_targets, 2))
-    targets = tuple(
-        Target(f"t{i + 1}", Point2(float(x), float(y)), rcs_dbsm)
-        for i, (x, y) in enumerate(txy)
-    )
+    bs_xy, target_xy = _draw_layout(num_bs, num_targets, bounds, seed, collinearity_tol,
+                                    max_attempts)
+    anchors = tuple(Anchor(f"bs{i + 1}", AnchorKind.BS, Point2(x, y))
+                    for i, (x, y) in enumerate(bs_xy.tolist()))
+    targets = tuple(Target(f"t{i + 1}", Point2(x, y), rcs_dbsm)
+                    for i, (x, y) in enumerate(target_xy.tolist()))
     return Scene(anchors=anchors, targets=targets, bounds=bounds)
 
 

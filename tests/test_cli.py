@@ -565,6 +565,21 @@ class TestGhostsAndMonteCarlo:
         assert [lv["sigma_m"] for lv in report["aggregates"]["levels"]] == [0.0, 0.1]
 
 
+class TestStreamRefusals:
+    def test_row_index_overflow_is_domain_error(self, capsys, tmp_path):
+        # 8^21 distance index combinations pass 2^63 - 1: the stream's one
+        # check refuses them before any row number could overflow.
+        code, _, err = run_cli(capsys, [
+            "montecarlo", "--num-bs", "21", "--num-targets", "8",
+            "--bounds", "-20", "-20", "20", "20", "--trials", "1",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 1
+        assert err == ("error: K=8 targets at M=21 anchors give more distance index "
+                       "combinations than a 64-bit row index can number\n")
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestTrialRecordCap:
     """montecarlo and ghosts refuse oversized runs before any trial is drawn."""
 

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from netsense import association, harness
+from netsense import scene as scene_module
+from netsense.errors import GeometryError
 from netsense.harness import (
     ExperimentSpec,
     NoiseModel,
@@ -577,3 +579,130 @@ class TestChunking:
             tracemalloc.stop()
         assert batch.survivors == problems * 3 ** 4
         assert peak < 1.2e6
+
+
+def collinear_scene():
+    return Scene(
+        anchors=tuple(Anchor(f"bs{i + 1}", AnchorKind.BS, Point2(float(i), 0.0))
+                      for i in range(3)),
+        targets=(Target("t1", Point2(1.0, 1.0)),),
+        bounds=Bounds(-10, -10, 10, 10),
+    )
+
+
+def reference_score(solution, scene, origins):
+    """(consistent, matched, rmse) of a solution's estimates against the scene's targets."""
+    truth = scene.target_positions()
+    assignment = solution.hypothesis.assignment
+    consistent = all(origins[m][assignment[m][k]] == origins[0][k]
+                     for m in range(len(assignment)) for k in range(len(assignment[0])))
+    errors = [(est.position.x - truth[origins[0][k]][0]) ** 2
+              + (est.position.y - truth[origins[0][k]][1]) ** 2
+              for k, est in enumerate(solution.estimates)]
+    rmse = math.sqrt(sum(errors) / len(errors))
+    matched = consistent and all(math.sqrt(e) <= harness.CORRECT_MATCH_RADIUS_M for e in errors)
+    return consistent, matched, rmse
+
+
+def reference_records(spec, sigmas):
+    """Uniqueness records (sigmas None) or accuracy records of every trial, built one
+    problem at a time through Scene, MeasurementSet, enumerate_feasible and _best_solution."""
+    records = []
+    for trial, trial_seed in enumerate(harness._trial_seeds(spec.seed, spec.trials)):
+        scene = spec.scene or random_scene(
+            spec.random_plan.num_bs, spec.random_plan.num_targets, spec.random_plan.bounds,
+            rcs_dbsm=spec.random_plan.rcs_dbsm, seed=trial_seed)
+        for sigma in sigmas or [0.0]:
+            noise = NoiseModel(sigma, spec.noise.quantize_to_resolution, spec.noise.bandwidth_hz)
+            ms = measure_distances(scene, spec.link, spec.snr_min_db, noise, trial_seed)
+            tol = harness._association_tol(spec.feas_tol_m, noise.effective_sigma_m())
+            if sigmas is None:
+                record = {"trial": trial, "seed": trial_seed,
+                          "detected_pairs": int(ms.detected.sum()),
+                          "total_pairs": int(ms.detected.size), "partial": not ms.full_detection,
+                          "feasible_count": None, "ghost": None, "correct_found": None,
+                          "rmse_m": None}
+                if ms.full_detection:
+                    solutions = association.enumerate_feasible(ms.profiles, scene.bs_positions(),
+                                                               tol)
+                    correct = [rmse for _, matched, rmse in
+                               (reference_score(s, scene, ms.origins) for s in solutions)
+                               if matched]
+                    record.update(feasible_count=len(solutions), ghost=len(solutions) > 1,
+                                  correct_found=bool(correct),
+                                  rmse_m=min(correct) if correct else None)
+            else:
+                record = {"sigma_m": sigma, "trial": trial, "seed": trial_seed,
+                          "partial": not ms.full_detection, "infeasible": None, "correct": None,
+                          "rmse_m": None}
+                if ms.full_detection:
+                    table = association.subproblem_table(ms.profiles, scene.bs_positions(), tol)
+                    solution = association._best_solution(table, tol)
+                    if solution is None:
+                        record.update(infeasible=True, correct=False)
+                    else:
+                        consistent, _, rmse = reference_score(solution, scene, ms.origins)
+                        record.update(infeasible=False, correct=consistent, rmse_m=rmse)
+            records.append(record)
+    return sorted(records, key=lambda r: (r.get("sigma_m", 0.0), r["trial"]))
+
+
+class TestArrayStream:
+    SIGMAS = [0.0, 0.1, 0.5, 1.0]
+
+    def test_example1_records_match_the_reference(self, scenes_dir):
+        # Exact ranges on example 1 have a ghost: two feasible hypotheses.
+        spec = ExperimentSpec(scene=load_scene(scenes_dir / "example1.json"), trials=4, seed=3,
+                              feas_tol_m=1e-6)
+        unique = run_uniqueness_experiment(spec).records
+        assert all(r["feasible_count"] == 2 for r in unique)
+        assert list(unique) == reference_records(spec, None)
+        assert list(run_accuracy_experiment(spec, self.SIGMAS).records) == reference_records(
+            spec, self.SIGMAS)
+
+    @pytest.mark.parametrize("plan", [
+        PLAN,
+        RandomScenePlan(num_bs=4, num_targets=3, bounds=Bounds(-150, -150, 150, 150)),
+        # Far targets go undetected, so partial trials mix with solved ones.
+        RandomScenePlan(num_bs=3, num_targets=2, bounds=Bounds(-400, -400, 400, 400)),
+    ], ids=["k2-m3", "k3-m4", "partial"])
+    def test_random_records_match_the_reference(self, plan):
+        spec = ExperimentSpec(random_plan=plan, trials=200, seed=20, feas_tol_m=1e-4)
+        assert list(run_uniqueness_experiment(spec).records) == reference_records(spec, None)
+        spec = replace(spec, trials=50)
+        assert list(run_accuracy_experiment(spec, self.SIGMAS).records) == reference_records(
+            spec, self.SIGMAS)
+
+    def test_a_stream_checks_once_and_builds_no_scene(self, monkeypatch):
+        spec = ExperimentSpec(random_plan=PLAN, trials=100, seed=1729, feas_tol_m=1e-4)
+        # No trial's first layout is rejected, so no draw replays the loop.
+        seeds = harness._trial_seeds(spec.seed, spec.trials)
+        assert not any(next(scene_module.collinear_triples(
+            np.random.default_rng(s).uniform(-150.0, 150.0, size=(3, 2))), None)
+            for s in seeds)
+        checks, scenes = [], []
+        check, init = association._check_inputs, Scene.__init__
+        for module in (harness, association):
+            monkeypatch.setattr(module, "_check_inputs",
+                                lambda *args: checks.append(1) or check(*args))
+        monkeypatch.setattr(Scene, "__init__",
+                            lambda self, *args, **kw: scenes.append(1) or init(self, *args, **kw))
+        report = run_uniqueness_experiment(spec)
+        assert report.aggregates["completed"] == 100
+        assert (len(checks), len(scenes)) == (1, 0)
+
+
+class TestStreamRefusals:
+    def test_collinear_fixed_scene(self):
+        spec = ExperimentSpec(scene=collinear_scene(), trials=3, seed=0)
+        with pytest.raises(GeometryError, match=r"^anchors \(0, 1, 2\) are collinear$"):
+            run_uniqueness_experiment(spec)
+
+    @pytest.mark.parametrize("spec, sigmas", [
+        (ExperimentSpec(random_plan=PLAN, trials=2, seed=0), [math.inf]),
+        # Partial trials are checked too: no problem of this scene is ever solved.
+        (ExperimentSpec(scene=partial_scene(), trials=2, seed=0), [0.0, math.inf]),
+    ], ids=["full", "partial"])
+    def test_non_finite_distances(self, spec, sigmas):
+        with pytest.raises(ValueError, match="^bs1: distances must be finite$"):
+            run_accuracy_experiment(spec, sigmas)

@@ -202,3 +202,52 @@ class TestSerialization:
         data[field][1]["id"] = data[field][0]["id"]
         with pytest.raises(ValueError, match=f"duplicate {kind} id: {data[field][0]['id']}"):
             scene_from_dict(data)
+
+
+def _two_draw_layout(num_bs, num_targets, bounds, seed, tol):
+    """Reference draw: BS layouts from one generator until one has no collinear
+    triple within ``tol``, then the targets from the same generator."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array([bounds.xmin, bounds.ymin]), np.array([bounds.xmax, bounds.ymax])
+    while True:
+        bs_xy = rng.uniform(lo, hi, size=(num_bs, 2))
+        if next(scene.collinear_triples(bs_xy, tol), None) is None:
+            return bs_xy, rng.uniform(lo, hi, size=(num_targets, 2))
+
+
+def _hex(xy):
+    return [[v.hex() for v in row] for row in np.asarray(xy).tolist()]
+
+
+class TestDrawLayout:
+    @pytest.mark.parametrize("num_bs, num_targets, seeds",
+                             [(3, 2, 2000), (4, 3, 200), (6, 8, 200), (12, 2, 200), (3, 0, 200)])
+    def test_equals_the_two_draw_loop_and_random_scene(self, num_bs, num_targets, seeds):
+        for seed in range(seeds):
+            bs_xy, target_xy = scene._draw_layout(num_bs, num_targets, BOUNDS, seed)
+            ref_bs, ref_targets = _two_draw_layout(num_bs, num_targets, BOUNDS, seed, 1e-9)
+            assert (_hex(bs_xy), _hex(target_xy)) == (_hex(ref_bs), _hex(ref_targets)), seed
+            drawn = random_scene(num_bs, num_targets, BOUNDS, seed=seed)
+            assert _hex(drawn.bs_positions()) == _hex(bs_xy)
+            assert _hex(drawn.target_positions().reshape(-1, 2)) == _hex(target_xy)
+
+    def test_rejected_first_layouts_replay_the_loop(self):
+        # At this tolerance about a fifth of first layouts have a collinear
+        # triple, so the draw replays the rejection loop from a fresh generator.
+        tol, rejected = 0.05, 0
+        for seed in range(2000):
+            first = np.random.default_rng(seed).uniform(-150.0, 150.0, size=(3, 2))
+            rejected += next(scene.collinear_triples(first, tol), None) is not None
+            bs_xy, target_xy = scene._draw_layout(3, 2, BOUNDS, seed, collinearity_tol=tol)
+            ref_bs, ref_targets = _two_draw_layout(3, 2, BOUNDS, seed, tol)
+            assert (_hex(bs_xy), _hex(target_xy)) == (_hex(ref_bs), _hex(ref_targets)), seed
+            drawn = random_scene(3, 2, BOUNDS, seed=seed, collinearity_tol=tol)
+            assert _hex(drawn.bs_positions()) == _hex(bs_xy)
+        assert rejected >= 200
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="num_targets must be nonnegative"):
+            scene._draw_layout(3, -1, BOUNDS, 0)
+        # No attempt allowed: the first layout is not taken either.
+        with pytest.raises(SceneGenerationError):
+            scene._draw_layout(3, 1, BOUNDS, 0, max_attempts=0)

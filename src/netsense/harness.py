@@ -30,7 +30,7 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .association import (
 )
 from .link_budget import LinkBudgetParams, max_sensing_range, range_resolution
 from .link_budget import covered  # noqa: F401  kept under this name for bench/tracing.py
-from .scene import Bounds, Scene, _draw_layout, scene_to_dict
+from .scene import Bounds, Scene, _bs_ids, _draw_layout, scene_to_dict
 from .scene import random_scene  # noqa: F401  kept under this name for bench/tracing.py
 
 CORRECT_MATCH_RADIUS_M = 1e-3
@@ -135,6 +135,7 @@ class MeasurementSet:
 
     origins[m][i] is the target index behind profiles[m].distances[i]; it is
     simulator-side ground truth used only for scoring, never by the solvers.
+    A stream keeps one without profiles per trial, shared by its levels.
     """
 
     profiles: tuple[DistanceProfile, ...]
@@ -193,9 +194,8 @@ def _measure_levels(
         scene.bs_positions(), scene.target_positions(),
         _coverage_radii(link, snr_min_db, [t.rcs_dbsm for t in scene.targets]),
         [bs.id for bs in stations], noises, seed)
-    return [MeasurementSet(profiles=tuple(DistanceProfile(bs.id, tuple(values))
-                                          for bs, values in zip(stations, level)),
-                           detected=seen.detected, origins=seen.origins)
+    return [replace(seen, profiles=tuple(DistanceProfile(bs.id, tuple(values))
+                                         for bs, values in zip(stations, level)))
             for level in levels]
 
 
@@ -211,14 +211,6 @@ def _coverage_radii(link: LinkBudgetParams, snr_min_db: float,
     return [reach[rcs] for rcs in rcs_dbsm]
 
 
-class _Detections(NamedTuple):
-    """What a trial's records read of its measurements, the same at every noise level."""
-
-    detected: np.ndarray  # (num_bs, num_targets) bool
-    origins: tuple[tuple[int, ...], ...]
-    full_detection: bool
-
-
 def _measure_arrays(
     bs_xy: np.ndarray,
     target_xy: np.ndarray,
@@ -226,7 +218,7 @@ def _measure_arrays(
     ids: Sequence[str],
     noises: Sequence[NoiseModel],
     seed: int,
-) -> tuple[_Detections, list[list[list[float]]]]:
+) -> tuple[MeasurementSet, list[list[list[float]]]]:
     """One layout's detections and its distances at each noise level, from one draw.
 
     ``bs_xy`` (M, 2) and ``target_xy`` (K, 2) place BSs named ``ids`` and
@@ -237,8 +229,10 @@ def _measure_arrays(
     distance is ``d_true + (0.0 + sigma * z)``, bitwise numpy's
     ``normal(0, sigma)`` (``loc + scale * z``), then rounded and clamped at 0
     as Python floats, so each level is what its own draw would give.
-    ``levels[l][m]`` lists BS m's distances at ``noises[l]`` in reported
-    order; a non-finite one raises ValueError naming the BS.
+    Returns the detections and origins, shared by every level, as a
+    MeasurementSet without profiles, and ``levels``: ``levels[l][m]`` lists
+    BS m's distances at ``noises[l]`` in reported order; a non-finite one
+    raises ValueError naming the BS.
     """
     targets = target_xy.tolist()
     flags, draws, origins = [], [], []
@@ -268,7 +262,7 @@ def _measure_arrays(
                 raise ValueError(f"{bs_id}: distances must be finite")
             level.append(values)
         levels.append(level)
-    return _Detections(detected, tuple(origins), bool(detected.all())), levels
+    return MeasurementSet(profiles=(), detected=detected, origins=tuple(origins)), levels
 
 
 def _trial_seeds(seed: int, trials: int) -> list[int]:
@@ -303,7 +297,9 @@ def _score(assignment: tuple[tuple[int, ...], ...], positions: Sequence[Sequence
     )
     errors = [(x - tx) ** 2 + (y - ty) ** 2
               for (x, y), (tx, ty) in zip(positions, (truth_xy[t] for t in origins[0]))]
-    total = 0.0  # left to right: from Python 3.12, sum() of floats is compensated
+    # Left to right, as sum() adds numpy floats: from Python 3.12 sum()
+    # compensates Python floats, which can move the last bit of rmse_m.
+    total = 0.0
     for e in errors:
         total += e
     rmse = math.sqrt(total / len(errors))
@@ -312,8 +308,7 @@ def _score(assignment: tuple[tuple[int, ...], ...], positions: Sequence[Sequence
 
 
 def _uniqueness_record(trial: int, trial_seed: int, truth_xy: Sequence[Sequence[float]],
-                       noise: NoiseModel, ms, table) -> dict:
-    """One trial's uniqueness record; ``ms`` is its MeasurementSet or _Detections."""
+                       noise: NoiseModel, ms: MeasurementSet, table) -> dict:
     record = {
         "trial": trial,
         "seed": trial_seed,
@@ -344,8 +339,7 @@ def _uniqueness_record(trial: int, trial_seed: int, truth_xy: Sequence[Sequence[
 
 
 def _accuracy_record(trial: int, trial_seed: int, truth_xy: Sequence[Sequence[float]],
-                     noise: NoiseModel, ms, table) -> dict:
-    """One (trial, level) accuracy record; ``ms`` is its MeasurementSet or _Detections."""
+                     noise: NoiseModel, ms: MeasurementSet, table) -> dict:
     record = {
         "sigma_m": noise.range_sigma_m,
         "trial": trial,
@@ -402,7 +396,7 @@ def _run_stream(args: tuple) -> list[dict]:
         rcs = [t.rcs_dbsm for t in scene.targets]
     else:
         plan, layout = spec.random_plan, None
-        ids = [f"bs{m + 1}" for m in range(plan.num_bs)]
+        ids = _bs_ids(plan.num_bs)
         rcs = [plan.rcs_dbsm] * plan.num_targets
     radii, checked = None, False
 

@@ -179,6 +179,11 @@ def collinear_bs_lines(scene: Scene) -> list[str]:
             for triple in collinear_triples(scene.bs_positions())]
 
 
+def _bs_ids(num_bs: int) -> list[str]:
+    """The ids bs1..bsM of a random scene's BSs."""
+    return [f"bs{i + 1}" for i in range(num_bs)]
+
+
 def _draw_layout(
     num_bs: int,
     num_targets: int,
@@ -191,23 +196,17 @@ def _draw_layout(
 
     ``default_rng(seed)`` draws BS layouts uniformly in ``bounds`` until
     one has no collinear triple within ``collinearity_tol``, then the
-    targets. The first attempt draws its BSs and the targets in one call,
-    the same doubles in the same order as two calls; only when its layout
-    is rejected does the loop replay from a fresh generator. Raises
-    SceneGenerationError after max_attempts rejected layouts.
+    targets. Raises SceneGenerationError after max_attempts rejected
+    layouts.
     """
     if num_bs < 3:
         raise ValueError("need at least 3 base stations")
     if num_targets < 0:
         raise ValueError("num_targets must be nonnegative")
 
+    rng = np.random.default_rng(seed)
     lo = np.array([bounds.xmin, bounds.ymin])
     hi = np.array([bounds.xmax, bounds.ymax])
-    xy = np.random.default_rng(seed).uniform(lo, hi, size=(num_bs + num_targets, 2))
-    if max_attempts > 0 and next(collinear_triples(xy[:num_bs], collinearity_tol), None) is None:
-        return xy[:num_bs], xy[num_bs:]
-
-    rng = np.random.default_rng(seed)
     for _ in range(max_attempts):
         bs_xy = rng.uniform(lo, hi, size=(num_bs, 2))
         if next(collinear_triples(bs_xy, collinearity_tol), None) is None:
@@ -236,8 +235,8 @@ def random_scene(
     """
     bs_xy, target_xy = _draw_layout(num_bs, num_targets, bounds, seed, collinearity_tol,
                                     max_attempts)
-    anchors = tuple(Anchor(f"bs{i + 1}", AnchorKind.BS, Point2(x, y))
-                    for i, (x, y) in enumerate(bs_xy.tolist()))
+    anchors = tuple(Anchor(bs_id, AnchorKind.BS, Point2(x, y))
+                    for bs_id, (x, y) in zip(_bs_ids(num_bs), bs_xy.tolist()))
     targets = tuple(Target(f"t{i + 1}", Point2(x, y), rcs_dbsm)
                     for i, (x, y) in enumerate(target_xy.tolist()))
     return Scene(anchors=anchors, targets=targets, bounds=bounds)

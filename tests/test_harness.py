@@ -675,7 +675,7 @@ class TestArrayStream:
 
     def test_a_stream_checks_once_and_builds_no_scene(self, monkeypatch):
         spec = ExperimentSpec(random_plan=PLAN, trials=100, seed=1729, feas_tol_m=1e-4)
-        # No trial's first layout is rejected, so no draw replays the loop.
+        # No trial's first layout is rejected, so each trial draws once.
         seeds = harness._trial_seeds(spec.seed, spec.trials)
         assert not any(next(scene_module.collinear_triples(
             np.random.default_rng(s).uniform(-150.0, 150.0, size=(3, 2))), None)
@@ -690,6 +690,15 @@ class TestArrayStream:
         report = run_uniqueness_experiment(spec)
         assert report.aggregates["completed"] == 100
         assert (len(checks), len(scenes)) == (1, 0)
+
+    def test_squared_errors_add_left_to_right(self):
+        # The reference sums numpy floats, which sum() adds left to right on every
+        # Python; from 3.12 it compensates Python floats, and here that moves rmse.
+        errors = [1.0, 1e-8 ** 2, 1e-8 ** 2]
+        assert math.sqrt(math.fsum(errors) / 3) != math.sqrt(sum(map(np.float64, errors)) / 3)
+        _, _, rmse = harness._score(((0, 1, 2),) * 3, [(1.0, 0.0), (1e-8, 0.0), (1e-8, 0.0)],
+                                    [(0.0, 0.0)] * 3, ((0, 1, 2),) * 3)
+        assert rmse == math.sqrt(sum(map(np.float64, errors)) / 3)
 
 
 class TestStreamRefusals:

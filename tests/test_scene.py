@@ -231,9 +231,9 @@ class TestDrawLayout:
             assert _hex(drawn.bs_positions()) == _hex(bs_xy)
             assert _hex(drawn.target_positions().reshape(-1, 2)) == _hex(target_xy)
 
-    def test_rejected_first_layouts_replay_the_loop(self):
+    def test_rejected_first_layouts_are_redrawn(self):
         # At this tolerance about a fifth of first layouts have a collinear
-        # triple, so the draw replays the rejection loop from a fresh generator.
+        # triple, so the draw goes on to later layouts of the same generator.
         tol, rejected = 0.05, 0
         for seed in range(2000):
             first = np.random.default_rng(seed).uniform(-150.0, 150.0, size=(3, 2))

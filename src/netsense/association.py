@@ -7,8 +7,8 @@ M anchors. A hypothesis is feasible when every target slot trilaterates with
 residual at or below the feasibility tolerance.
 
 A target slot's residual depends only on the distance index chosen at each
-anchor, so every solver works on one shared subproblem table over the K^M
-index combinations. Most combinations mix ranges of different targets, and
+anchor, so every solver works on one shared table of the K^M combinations
+(an index column per anchor). Most mix ranges of different targets, and
 two tests at the feasibility tolerance prove them infeasible without
 solving them: a triangle inequality at every anchor pair and a bound on
 where the annuli of every anchor triple can meet. The gate builds the rows
@@ -110,9 +110,6 @@ def _check_inputs(sizes: Sequence[int], anchors_xy: np.ndarray) -> tuple[int, in
     n_targets = cardinalities.pop()
     if n_targets == 0:
         raise ValueError("profiles are empty")
-    if n_targets ** n_anchors > np.iinfo(np.int64).max:
-        raise ValueError(f"K={n_targets} targets at M={n_anchors} anchors give more distance "
-                         f"index combinations than a 64-bit row index can number")
     triple = next(collinear_triples(anchors_xy), None)
     if triple is not None:
         raise GeometryError(f"anchors {triple} are collinear")
@@ -150,19 +147,19 @@ def _gate(dists: Sequence[np.ndarray], anchors: np.ndarray,
           tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every row of several problems that can trilaterate within tolerance, built anchor by anchor.
 
-    ``dists`` holds each problem's (M, K) distances, ``anchors`` (P, M, 2)
-    and ``tol`` (P,) its anchors and tolerance. Returns the ``problem``,
-    ``flat`` index and ``ranges`` of every survivor, in problem order and
-    ascending ``flat`` within a problem. The join extends each partial row
-    by every index at the next anchor m and keeps it only if it passes the
-    pairwise test against every earlier anchor and the triple test on every
-    triple (i, j, m); a row failing either can never be feasible. While the
-    rows times the triples pending fit TRIPLE_BLOCK, the triple tests wait
-    and run together: on so few rows a numpy pass costs its call, not its
-    arithmetic, and the survivors are the same. The triple tests run in row
-    blocks of at most TRIPLE_ROWS, as no row's outcome depends on the
-    others. Before each extension the rows a problem would hold are
-    counted, and more than MAX_GATE_ROWS are refused.
+    ``dists`` holds each problem's (M, K) distances, ``anchors`` (P, M, 2) and
+    ``tol`` (P,) its anchors and tolerance. Returns the ``problem``, distance
+    ``index`` (rows, M) and ``ranges`` of every survivor, in problem order and
+    lexicographic ``index`` order within a problem. The join extends each
+    partial row by every index at the next anchor m and keeps it only if it
+    passes the pairwise test against every earlier anchor and the triple test
+    on every triple (i, j, m); a row failing either can never be feasible.
+    While the rows times the triples pending fit TRIPLE_BLOCK, the triple
+    tests wait and run together: on so few rows a numpy pass costs its call,
+    not its arithmetic, and the survivors are the same. The triple tests run
+    in row blocks of at most TRIPLE_ROWS, as no row's outcome depends on the
+    others. Before each extension the rows a problem would hold are counted,
+    and more than MAX_GATE_ROWS are refused.
 
     Pairwise test: a row with rms <= tol has r_i^2 + r_j^2 <= M tol^2 at
     every anchor pair, so |r_i| + |r_j| <= sqrt(2M) tol, and the triangle
@@ -198,7 +195,7 @@ def _gate(dists: Sequence[np.ndarray], anchors: np.ndarray,
         span, rel[..., 0] * unit[..., 0] + rel[..., 1] * unit[..., 1],
         rel[..., 1] * unit[..., 0] - rel[..., 0] * unit[..., 1], spread[:, k, i]])
 
-    def with_triples(problem, flat, ranges, pending: slice):
+    def with_triples(problem, index, ranges, pending: slice):
         """The rows that pass the ``pending`` triples, or whose problem skips them."""
         keep = ~tested[problem]
         untested = np.flatnonzero(~keep)
@@ -206,10 +203,12 @@ def _gate(dists: Sequence[np.ndarray], anchors: np.ndarray,
             rows = untested[start:start + TRIPLE_ROWS]
             keep[rows] = _triple_admissible(ranges[rows], geometry[:, :, pending],
                                             triples[pending], problem[rows], slack[problem[rows]])
-        return problem[keep], flat[keep], ranges[keep]
+        return problem[keep], index[keep], ranges[keep]
 
     problem = np.repeat(np.arange(n_problems), sizes)
-    flat = np.arange(len(problem)) - first[problem]
+    # int16 holds any index: MAX_GATE_ROWS refuses K^2 > 2^18, so K <= 512.
+    index = np.zeros((len(problem), n_anchors), np.int16)
+    index[:, 0] = np.arange(len(problem)) - first[problem]
     ranges = np.zeros((len(problem), n_anchors))
     ranges[:, 0] = columns[0]
     done = 0  # triples tested so far, in order of their last anchor
@@ -217,8 +216,8 @@ def _gate(dists: Sequence[np.ndarray], anchors: np.ndarray,
         width = sizes[problem]
         held = width.sum()  # rows after the extension, all problems together
         if held * (math.comb(m + 1, 3) - done) > TRIPLE_BLOCK or held > MAX_GATE_ROWS:
-            problem, flat, ranges = with_triples(problem, flat, ranges,
-                                                 slice(done, math.comb(m, 3)))
+            problem, index, ranges = with_triples(problem, index, ranges,
+                                                  slice(done, math.comb(m, 3)))
             done, width = math.comb(m, 3), sizes[problem]
             held = np.bincount(problem, minlength=n_problems) * sizes
             if held.max() > MAX_GATE_ROWS:
@@ -227,17 +226,16 @@ def _gate(dists: Sequence[np.ndarray], anchors: np.ndarray,
                     f"K={sizes[p]} targets at M={n_anchors} anchors leave {held[p]:,} candidate "
                     f"rows at anchor {m + 1}; the gate holds at most {MAX_GATE_ROWS:,} per problem")
         parent = np.repeat(np.arange(len(problem)), width)
-        index = np.arange(len(parent)) - (np.cumsum(width) - width)[parent]
-        problem, ranges = problem[parent], ranges[parent]
-        flat = flat[parent] * sizes[problem] + index
-        ranges[:, m] = columns[m, first[problem] + index]
+        problem, index, ranges = problem[parent], index[parent], ranges[parent]
+        index[:, m] = np.arange(len(parent)) - (np.cumsum(width) - width)[parent]
+        ranges[:, m] = columns[m, first[problem] + index[:, m]]
         di, dj, gap = ranges[:, :m], ranges[:, m:m + 1], spread[problem, :m, m]
         allowance = pair_slack[problem, None] + GATE_ROUNDING * (di + dj + gap)
         keep = ((np.abs(di - dj) <= gap + allowance) & (di + dj >= gap - allowance)).all(axis=1)
-        problem, flat, ranges = problem[keep], flat[keep], ranges[keep]
+        problem, index, ranges = problem[keep], index[keep], ranges[keep]
     # The last extension's arrays (di and dj view its unfiltered ranges) are dead.
-    del width, parent, index, di, dj, gap, allowance, keep
-    return with_triples(problem, flat, ranges, slice(done, len(triples)))
+    del width, parent, di, dj, gap, allowance, keep
+    return with_triples(problem, index, ranges, slice(done, len(triples)))
 
 
 @functools.cache
@@ -328,25 +326,21 @@ class _SubproblemTable:
     """Trilateration results for the distance index combinations the gate kept.
 
     The residual of target slot k under a hypothesis depends only on the
-    chosen distance index at each anchor, so each of the K^M combinations
-    is solved at most once and shared by every hypothesis. Combination
-    ``f`` is the one whose anchor-wise indices are the base-K digits of
-    ``f``, anchor 1 most significant.
-
-    ``flat`` holds, in ascending order, the combinations that passed the
-    gate at ``gate_tol`` (its pairwise and its triple test); row i of
-    ``positions``, ``rms``, ``converged`` and ``iterations`` is the
-    solver's result for ``flat[i]``. The others were never solved and have
-    no row. ``solved_rows`` and ``gated_rows`` count the two kinds.
+    chosen distance index at each anchor, so each of the K^M combinations is
+    solved at most once and shared by every hypothesis. Row i of ``index``
+    (rows, M) holds the index at each anchor of a combination that passed
+    the gate at ``gate_tol``, rows in lexicographic order, and row i of
+    ``positions``, ``rms``, ``converged`` and ``iterations`` the solver's
+    result for it. The others were never solved and have no row.
+    ``solved_rows`` and ``gated_rows`` count the two kinds.
     """
 
-    def __init__(self, n_targets: int, n_anchors: int, gate_tol: float, flat: np.ndarray,
+    def __init__(self, n_targets: int, n_anchors: int, gate_tol: float, index: np.ndarray,
                  results: Sequence[np.ndarray]):
-        self.k = n_targets
-        self.m = n_anchors
-        self.gate_tol, self.flat = gate_tol, flat
+        self.k, self.m = n_targets, n_anchors
+        self.gate_tol, self.index = gate_tol, index
         self.positions, self.rms, self.converged, self.iterations = results
-        self.solved_rows = len(flat)
+        self.solved_rows = len(index)
         self.gated_rows = n_targets ** n_anchors - self.solved_rows
 
     def estimate(self, row: int) -> PositionEstimate:
@@ -365,19 +359,20 @@ class SubproblemBatch:
     feasibility tolerance, counting its K^M rows in ``ungated_rows``
     (``_add`` keeps one without validating it);
     ``gate`` builds the ``survivors`` of every problem added since, in one
-    join (see ``_gate``); ``split`` moves the shortest run of gated
-    problems, from the front, that holds a given number of survivors into a
-    batch of its own; ``solve`` gates what is left, runs every survivor
-    through a single ``solve_ranges_batch`` call, and returns one table per
-    added problem, in order. Every gated and solved row's result is bitwise
-    what a separate call would give. All problems in a batch need the same M.
+    join (see ``_gate``), and keeps each problem's ``index`` columns for its
+    table; ``split`` moves the shortest run of gated problems, from the front,
+    that holds a given number of survivors into a batch of its own; ``solve``
+    gates what is left, runs every survivor through a single
+    ``solve_ranges_batch`` call, and returns one table per added problem, in
+    order. Every gated and solved row's result is bitwise what a separate call
+    would give. All problems in a batch need the same M.
     """
 
     def __init__(self):
         self._dists: list[np.ndarray] = []  # (M, K) distances of each problem
         self._anchors: list[np.ndarray] = []
         self._tols: list[float] = []
-        self._flat: list[np.ndarray] = []  # admissible row indices of each gated problem
+        self._index: list[np.ndarray] = []  # (rows, M) index columns of each gated problem
         self._kept: list[np.ndarray] = []  # surviving rows of each gate, in problem order
         self.ungated_rows = self.survivors = 0
 
@@ -399,13 +394,13 @@ class SubproblemBatch:
 
     def gate(self) -> None:
         """Build the surviving rows of every problem added since the last gate, in one join."""
-        start = len(self._flat)
+        start = len(self._index)
         if start == len(self._dists):
             return
-        problem, flat, ranges = _gate(self._dists[start:], np.stack(self._anchors[start:]),
-                                      np.array(self._tols[start:]))
+        problem, index, ranges = _gate(self._dists[start:], np.stack(self._anchors[start:]),
+                                       np.array(self._tols[start:]))
         counts = np.bincount(problem, minlength=len(self._dists) - start)
-        self._flat.extend(np.split(flat, np.cumsum(counts)[:-1]))
+        self._index.extend(np.split(index, np.cumsum(counts)[:-1]))
         self._kept.append(ranges)
         self.survivors += len(ranges)
         self.ungated_rows = 0
@@ -415,14 +410,14 @@ class SubproblemBatch:
         survivors, moved into a batch of its own; None while the gated problems hold fewer."""
         if self.survivors < rows:
             return None
-        counts = np.cumsum([len(flat) for flat in self._flat])
+        counts = np.cumsum([len(index) for index in self._index])
         n = int(np.searchsorted(counts, rows)) + 1
         cut, kept = int(counts[n - 1]), np.concatenate(self._kept)
         ready = SubproblemBatch()
         ready._dists, self._dists = self._dists[:n], self._dists[n:]
         ready._anchors, self._anchors = self._anchors[:n], self._anchors[n:]
         ready._tols, self._tols = self._tols[:n], self._tols[n:]
-        ready._flat, self._flat = self._flat[:n], self._flat[n:]
+        ready._index, self._index = self._index[:n], self._index[n:]
         ready._kept, self._kept = [kept[:cut]], [kept[cut:]]
         ready.survivors, self.survivors = cut, self.survivors - cut
         return ready
@@ -431,12 +426,12 @@ class SubproblemBatch:
         if not self._dists:
             return []
         self.gate()
-        counts = [len(flat) for flat in self._flat]
+        counts = [len(index) for index in self._index]
         problem = np.repeat(np.arange(len(counts)), counts)
         results = solve_ranges_batch(np.stack(self._anchors)[problem], np.concatenate(self._kept))
         per_problem = zip(*(np.split(values, np.cumsum(counts)[:-1]) for values in results))
-        return [_SubproblemTable(*dists.shape[::-1], tol, flat, own) for dists, tol, flat, own
-                in zip(self._dists, self._tols, self._flat, per_problem)]
+        return [_SubproblemTable(*dists.shape[::-1], tol, index, own) for dists, tol, index, own
+                in zip(self._dists, self._tols, self._index, per_problem)]
 
 
 def subproblem_table(profiles: Sequence[DistanceProfile], anchors,
@@ -450,12 +445,12 @@ def subproblem_table(profiles: Sequence[DistanceProfile], anchors,
 def _search(table: _SubproblemTable, tol: float, best: bool) -> tuple[list[tuple], int]:
     """Depth-first search for hypotheses whose every slot meets ``tol``.
 
-    Slot k's candidates are the table rows whose anchor-1 index is k and
-    whose residual is at most ``tol``, in ascending residual order, ties in
-    ascending ``flat`` order; a candidate is taken only if none of its
-    distance indices at anchors 2..M is used yet. With ``best`` false every
-    complete hypothesis is returned. With ``best`` true a branch is cut
-    once its partial max residual exceeds the best complete one by more
+    Slot k's candidates are the table rows whose ``index`` column 0 (anchor
+    1) is k and whose residual is at most ``tol``, in ascending residual
+    order, ties in row order; a candidate is taken only if none of its other
+    columns, its indices at anchors 2..M, is used yet. With ``best`` false
+    every complete hypothesis is returned. With ``best`` true a branch is
+    cut once its partial max residual exceeds the best complete one by more
     than RESIDUAL_TIE_EPS_M, and exactly the hypotheses within that band of
     the optimum are returned. Each result is (max_residual_m, assignment,
     table row per slot); they come with the number of candidates examined.
@@ -471,18 +466,15 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> tuple[list[tuple
                          f"{table.gate_tol} left unsolved")
     k, m = table.k, table.m
     rows = np.flatnonzero(table.rms <= tol)
-    slots, rest = np.divmod(table.flat[rows], k ** (m - 1))
-    order = np.lexsort((table.rms[rows], slots))  # stable: ties keep ascending flat
-    rows, slots = rows[order], slots[order]
-    combos = zip(*(a.tolist() for a in np.unravel_index(rest[order], (k,) * (m - 1))))
-    # Bit a * k + j of a candidate's mask marks its index j at anchor a + 2.
+    rows = rows[np.lexsort((table.rms[rows], table.index[rows, 0]))]  # stable: ties keep row order
+    # Bit a * k + j of a candidate's mask marks its index j at anchor a + 1.
     candidates: list[list[tuple]] = [[] for _ in range(k)]
-    for s, combo, residual, row in zip(slots.tolist(), combos, table.rms[rows].tolist(),
-                                       rows.tolist()):
-        mask = sum(1 << (a * k + j) for a, j in enumerate(combo))
-        candidates[s].append((combo, mask, residual, row))
+    for index, residual, row in zip(table.index[rows].tolist(), table.rms[rows].tolist(),
+                                    rows.tolist()):
+        mask = sum(1 << (a * k + j) for a, j in enumerate(index))
+        candidates[index[0]].append((index, mask, residual, row))
 
-    chosen: list[tuple[tuple[int, ...], int]] = []
+    chosen: list[tuple[list[int], int]] = []
     incumbent = math.inf
     found: list[tuple] = []
     nodes = 0
@@ -490,14 +482,13 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> tuple[list[tuple
     def dfs(slot: int, used: int, partial_max: float) -> None:
         nonlocal incumbent, nodes
         if slot == k:
-            assignment = (tuple(range(k)),) + tuple(
-                tuple(combo[a] for combo, _ in chosen) for a in range(m - 1))
+            assignment = tuple(zip(*(index for index, _ in chosen)))  # the chosen rows' columns
             found.append((partial_max, assignment, tuple(row for _, row in chosen)))
             if best and partial_max < incumbent:
                 incumbent = partial_max
                 found[:] = [f for f in found if f[0] <= incumbent + RESIDUAL_TIE_EPS_M]
             return
-        for combo, mask, residual, row in candidates[slot]:
+        for index, mask, residual, row in candidates[slot]:
             nodes += 1
             if nodes > MAX_SEARCH_NODES:
                 raise ValueError(f"K={k} targets at M={m} anchors: the search examined {nodes:,} "
@@ -507,7 +498,7 @@ def _search(table: _SubproblemTable, tol: float, best: bool) -> tuple[list[tuple
                 break  # candidates ascend, so every later one is cut too
             if used & mask:
                 continue
-            chosen.append((combo, row))
+            chosen.append((index, row))
             dfs(slot + 1, used | mask, new_max)
             chosen.pop()
 

@@ -593,7 +593,7 @@ def _cmd_irs(opts: dict) -> None:
         bs_measurements.append(
             localization.RangeMeasurement(bs_id, m.direct_roundtrip_m / 2.0)
         )
-    irs_distance = sum(recovered) / len(recovered)
+    irs_distance = harness._left_sum(recovered) / len(recovered)
     with _naming(path):
         est = irs.localize_with_heterogeneous_anchors(
             bs_positions, bs_measurements, irs_pos, irs_distance)
@@ -606,6 +606,8 @@ def _cmd_irs(opts: dict) -> None:
 
 def _cmd_montecarlo(opts: dict) -> None:
     sigmas = [float(s) for s in _split_sigmas(opts["sigma_list"])]
+    if huge := [sigma for sigma in sigmas if math.isinf(sigma * sigma)]:
+        raise ValueError(f"--sigma-list: sigma {huge[0]!r} m is too large; its square overflows")
     accuracy = opts["mode"] == "accuracy"
     levels = len(sigmas) if accuracy else 1
     request = f"--trials {opts['trials']}" + (

@@ -79,6 +79,9 @@ class NoiseModel:
     def __post_init__(self):
         if self.range_sigma_m < 0:
             raise ValueError("range_sigma_m must be nonnegative")
+        sigma = self.range_sigma_m  # an infinite one is refused as the distances it draws
+        if math.isfinite(sigma) and math.isinf(sigma * sigma):
+            raise ValueError(f"range_sigma_m {sigma!r} is too large; its square overflows")
 
     def effective_sigma_m(self) -> float:
         """Standard deviation including the quantization contribution."""
@@ -279,6 +282,14 @@ def _association_tol(base_tol: float, sigma_eff: float) -> float:
     return max(base_tol, 3.0 * sigma_eff)
 
 
+def _left_sum(values) -> float:
+    """``values`` added left to right: from Python 3.12 sum() compensates floats."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _score(assignment: tuple[tuple[int, ...], ...], positions: Sequence[Sequence[float]],
            truth_xy: Sequence[Sequence[float]],
            origins: tuple[tuple[int, ...], ...]) -> tuple[bool, bool, float]:
@@ -297,12 +308,7 @@ def _score(assignment: tuple[tuple[int, ...], ...], positions: Sequence[Sequence
     )
     errors = [(x - tx) ** 2 + (y - ty) ** 2
               for (x, y), (tx, ty) in zip(positions, (truth_xy[t] for t in origins[0]))]
-    # Left to right, as sum() adds numpy floats: from Python 3.12 sum()
-    # compensates Python floats, which can move the last bit of rmse_m.
-    total = 0.0
-    for e in errors:
-        total += e
-    rmse = math.sqrt(total / len(errors))
+    rmse = math.sqrt(_left_sum(errors) / len(errors))
     matched = consistent and all(math.sqrt(e) <= CORRECT_MATCH_RADIUS_M for e in errors)
     return consistent, matched, rmse
 
@@ -463,7 +469,7 @@ def uniqueness_aggregates(records: Sequence[dict]) -> dict:
         "ghost_count": ghosts,
         "ghost_fraction": ghosts / len(completed) if completed else 0.0,
         "correct_rate": correct / len(completed) if completed else 0.0,
-        "rmse_m": math.sqrt(sum(r * r for r in rmses) / len(rmses)) if rmses else None,
+        "rmse_m": math.sqrt(_left_sum(r * r for r in rmses) / len(rmses)) if rmses else None,
         "detection_fraction": detected / total if total else 0.0,
     }
 
@@ -485,7 +491,7 @@ def accuracy_aggregates(records: Sequence[dict]) -> dict:
             "infeasible": sum(1 for r in completed if r["infeasible"]),
             "correct_rate": (sum(1 for r in solved if r["correct"]) / len(solved))
             if solved else 0.0,
-            "rmse_m": math.sqrt(sum(r * r for r in rmses) / len(rmses)) if rmses else None,
+            "rmse_m": math.sqrt(_left_sum(r * r for r in rmses) / len(rmses)) if rmses else None,
         })
     return {"levels": levels}
 

@@ -404,6 +404,11 @@ class DenseTable:
                                 int(self.iterations[flat]))
 
 
+def dense_rows(table):
+    """The ``DenseTable`` row of each of ``table``'s rows, from its index columns."""
+    return np.ravel_multi_index(table.index.T, (table.k,) * table.m)
+
+
 class TestPairwiseGate:
     @staticmethod
     def columns(table):
@@ -425,9 +430,10 @@ class TestPairwiseGate:
         tol = 1e-12 if level < 0 else levels[level % len(levels)]
 
         gated = subproblem_table(profiles, anchors, tol)
-        assert np.isin(np.flatnonzero(oracle.rms <= tol), gated.flat).all()  # the gate is sound
+        rows = dense_rows(gated)
+        assert np.isin(np.flatnonzero(oracle.rms <= tol), rows).all()  # the gate is sound
         for got, want in zip(self.columns(gated), self.columns(oracle)):
-            assert np.array_equal(got, want[gated.flat])
+            assert np.array_equal(got, want[rows])
         dense = subproblem_table(profiles, anchors)
         for got, want in zip(self.columns(dense), self.columns(oracle)):
             assert np.array_equal(got, want)
@@ -496,9 +502,10 @@ def assert_gate_sound(profiles, anchors, tol):
     """No row the dense solve puts within ``tol`` is gated, and solved rows equal the oracle's."""
     oracle = DenseTable(profiles, anchors)
     gated = subproblem_table(profiles, anchors, tol)
-    assert np.isin(np.flatnonzero(oracle.rms <= tol), gated.flat).all()
+    rows = dense_rows(gated)
+    assert np.isin(np.flatnonzero(oracle.rms <= tol), rows).all()
     for got, want in zip(TestPairwiseGate.columns(gated), TestPairwiseGate.columns(oracle)):
-        assert np.array_equal(got, want[gated.flat])
+        assert np.array_equal(got, want[rows])
     return oracle, gated
 
 
@@ -559,7 +566,7 @@ class TestTripleGate:
         targets = np.array([[3e4, 9e4], [1e4, -4e4]])
         profiles = profiles_for(anchors, targets)
         oracle, gated = assert_gate_sound(profiles, anchors, tol)
-        assert gated.solved_rows == len(gated.flat) < len(oracle.rms)
+        assert gated.solved_rows == len(gated.index) < len(oracle.rms)
         assert enumerate_feasible(profiles, anchors, tol) == enumerate_feasible(
             profiles, anchors, tol, table=subproblem_table(profiles, anchors))
 
@@ -572,7 +579,7 @@ class TestTripleGate:
         table = subproblem_table(profiles, anchors, 1e-6)
         assert table.solved_rows == 4
         assert len(table.rms) == table.solved_rows  # the table holds its survivors alone
-        assert (np.diff(table.flat) > 0).all()
+        assert (np.diff(dense_rows(table)) > 0).all()
         assert (DenseTable(profiles, anchors).rms <= 1e-6).sum() == 4
 
     def test_infinite_tolerance_gates_nothing_in_a_mixed_batch(self):
@@ -583,11 +590,11 @@ class TestTripleGate:
             batch.add(profiles, anchors, tol)
         for table, (profiles, anchors), tol in zip(batch.solve(), problems, tols):
             single = subproblem_table(profiles, anchors, tol)
-            assert np.array_equal(table.flat, single.flat)
+            assert np.array_equal(table.index, single.index)
             for got, want in zip(TestPairwiseGate.columns(table),
                                  TestPairwiseGate.columns(single)):
                 assert np.array_equal(got, want)
-            assert (len(table.flat) == 3 ** 4) == (tol > 1e3)
+            assert (len(table.index) == 3 ** 4) == (tol > 1e3)
 
     @pytest.mark.parametrize("tol", [1e150, 1e300, 1.7e308, math.inf])
     def test_huge_tolerance_admits_every_row_quietly(self, tol):
@@ -606,8 +613,8 @@ class TestTripleGate:
         anchors = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]) * scale
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, flat, _ = association._gate([dists], anchors, np.array([1e-9 * scale]))
-        assert [row in flat for row in (0, 3)] == [False, scale != 1.0]
+            _, index, _ = association._gate([dists], anchors, np.array([1e-9 * scale]))
+        assert [row in index.tolist() for row in ([0, 0, 0], [0, 1, 1])] == [False, scale != 1.0]
 
 
 class TestFeasibleCountInvariance:
@@ -733,11 +740,11 @@ class TestSubproblemBatch:
             batch.add(profiles, anchors, tol)
         for table, (profiles, anchors), tol in zip(batch.solve(), problems, tols):
             dense = subproblem_table(profiles, anchors)
-            assert table.gate_tol == tol and len(table.flat)
+            assert table.gate_tol == tol and len(table.index)
             for got, want in ((table.positions, dense.positions), (table.rms, dense.rms),
                               (table.converged, dense.converged),
                               (table.iterations, dense.iterations)):
-                assert np.array_equal(got, want[table.flat])
+                assert np.array_equal(got, want[dense_rows(table)])
 
     def test_shared_table_gives_same_results(self):
         profiles, anchors = noisy_problem(5, 3, 4, 0.1)
@@ -918,3 +925,26 @@ class TestSubproblemCap:
         monkeypatch.setattr(association, "MAX_GATE_ROWS", 21)
         table = subproblem_table(exact_profiles(self.SCENE), self.SCENE.bs_positions(), 1e-6)
         assert table.solved_rows == 3
+
+    def test_network_scale_counts_every_combination(self):
+        # K=8, M=21: 8^21 = 2^63 index combinations, more than an int64 can
+        # number, counted exactly as a Python int.
+        scene = random_scene(21, 8, Bounds(-20, -20, 20, 20), seed=3)
+        stats = {}
+        solutions = enumerate_feasible(exact_profiles(scene), scene.bs_positions(), 1e-6,
+                                       stats=stats)
+        assert solutions[0].hypothesis.assignment == (tuple(range(8)),) * 21
+        assert stats["gated_rows"] == 8 ** 21 - stats["solved_rows"]
+        assert type(stats["gated_rows"]) is int
+
+    def test_largest_target_count_keeps_its_indices(self):
+        # K = 512 leaves K^2 = MAX_GATE_ROWS rows at anchor 2, the most the
+        # gate admits. Anchors 1 mm apart and targets 1 m apart in range let
+        # only the true rows (i, i, i) through, each index held exactly.
+        k = math.isqrt(association.MAX_GATE_ROWS)
+        anchors = np.array([[0.0, 0.0], [1e-3, 0.0], [0.0, 1e-3]])
+        angle = np.arange(k) * 0.1
+        targets = (10.0 + np.arange(k))[:, None] * np.stack([np.cos(angle), np.sin(angle)], 1)
+        table = subproblem_table(profiles_for(anchors, targets), anchors, 1e-6)
+        assert k == 512
+        assert np.array_equal(table.index, np.repeat(np.arange(k)[:, None], 3, axis=1))

@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from netsense import association, cli, harness, waveforms
@@ -121,6 +122,17 @@ class TestUsage:
         assert repr(bad) in err
         assert out == ""
         assert not report.exists()
+
+    def test_sigma_whose_square_overflows_is_domain_error(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        argv = ["montecarlo", "--mode", "accuracy", "--trials", "1", "--out", str(report)]
+        code, out, err = run_cli(capsys, argv + ["--sigma-list", "0.1,1e200"])
+        assert (code, out) == (1, "")
+        assert err == "error: --sigma-list: sigma 1e+200 m is too large; its square overflows\n"
+        assert not report.exists()
+        for quantize in ([], ["--quantize"]):
+            code, _, err = run_cli(capsys, argv + ["--sigma-list", "1e154"] + quantize)
+            assert (code, err) == (0, "")
 
     def test_sigma_list_keeps_its_text(self):
         namespace = build_parser().parse_args(["montecarlo", "--sigma-list", "0.10,,1e-1"])
@@ -552,6 +564,18 @@ class TestGhostsAndMonteCarlo:
         report = json.loads((tmp_path / "rep.json").read_text())
         assert (report["aggregates"]["completed"], report["aggregates"]["correct_rate"]) == (5, 1.0)
 
+    def test_montecarlo_eight_targets_at_21_bs(self, capsys, tmp_path):
+        # 8^21 = 2^63 distance index combinations, more than an int64 can number.
+        code, _, err = run_cli(capsys, [
+            "montecarlo", "--num-bs", "21", "--num-targets", "8",
+            "--bounds", "-20", "-20", "20", "20", "--trials", "1",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert (code, err) == (0, "")
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["aggregates"]["completed"] == 1
+        assert report["records"][0]["correct_found"] is True
+
     def test_montecarlo_accuracy_outputs(self, capsys, tmp_path):
         out_json = tmp_path / "acc.json"
         code, out, _ = run_cli(capsys, [
@@ -563,21 +587,6 @@ class TestGhostsAndMonteCarlo:
         assert report["kind"] == "accuracy"
         assert len(report["records"]) == 10  # 5 trials x 2 sigma levels
         assert [lv["sigma_m"] for lv in report["aggregates"]["levels"]] == [0.0, 0.1]
-
-
-class TestStreamRefusals:
-    def test_row_index_overflow_is_domain_error(self, capsys, tmp_path):
-        # 8^21 distance index combinations pass 2^63 - 1: the stream's one
-        # check refuses them before any row number could overflow.
-        code, _, err = run_cli(capsys, [
-            "montecarlo", "--num-bs", "21", "--num-targets", "8",
-            "--bounds", "-20", "-20", "20", "20", "--trials", "1",
-            "--out", str(tmp_path / "r.json"),
-        ])
-        assert code == 1
-        assert err == ("error: K=8 targets at M=21 anchors give more distance index "
-                       "combinations than a 64-bit row index can number\n")
-        assert not (tmp_path / "r.json").exists()
 
 
 class TestTrialRecordCap:
@@ -870,6 +879,18 @@ class TestGoldenReports:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == json_sha
         assert hashlib.sha256(out.with_suffix(".csv").read_bytes()).hexdigest() == csv_sha
+
+    def test_sigma_order_rmse_adds_left_to_right(self, capsys, tmp_path):
+        # Python 3.12's compensating sum() would move the sigma 0.01 level's
+        # rmse_m in its last digit; the report adds left to right.
+        out = tmp_path / "sigma_order.json"
+        assert run_cli(capsys, self.RUNS["sigma_order"][0] + ["--out", str(out)])[0] == 0
+        report = json.loads(out.read_text())
+        squares = [r["rmse_m"] * r["rmse_m"] for r in report["records"]
+                   if r["sigma_m"] == 0.01 and not r["infeasible"] and not r["partial"]]
+        level = next(lv for lv in report["aggregates"]["levels"] if lv["sigma_m"] == 0.01)
+        assert level["rmse_m"] == math.sqrt(sum(map(np.float64, squares)) / len(squares))
+        assert level["rmse_m"] != math.sqrt(math.fsum(squares) / len(squares))
 
     @pytest.mark.parametrize("name", sorted(GHOST_RUNS))
     def test_ghosts_sha256(self, capsys, tmp_path, name):

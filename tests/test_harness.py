@@ -242,11 +242,10 @@ class TestNoisyTolerance:
                     table = association.subproblem_table(ms.profiles, scene.bs_positions(), tol)
                     for slot in range(k):
                         target = ms.origins[0][slot]
-                        flat = sum(o.index(target) * k ** (n_bs - 1 - m)
-                                   for m, o in enumerate(ms.origins))
-                        row = int(np.searchsorted(table.flat, flat))
-                        assert row < len(table.flat) and table.flat[row] == flat, (seed, slot)
-                        assert table.rms[row] <= tol
+                        true_index = [o.index(target) for o in ms.origins]
+                        rows = np.flatnonzero((table.index == true_index).all(axis=1))
+                        assert len(rows) == 1, (seed, slot)
+                        assert table.rms[rows[0]] <= tol
 
 
 class TestUniquenessExperiment:
@@ -700,6 +699,18 @@ class TestArrayStream:
                                     [(0.0, 0.0)] * 3, ((0, 1, 2),) * 3)
         assert rmse == math.sqrt(sum(map(np.float64, errors)) / 3)
 
+    def test_aggregates_add_left_to_right(self):
+        # Compensated, the squares sum to 1 + 2e-16; left to right, to 1.0.
+        rmses = [1.0, 1e-8, 1e-8]
+        left = math.sqrt(sum(np.float64(r * r) for r in rmses) / 3)
+        assert left != math.sqrt(math.fsum(r * r for r in rmses) / 3)
+        accuracy = [{"sigma_m": 0.1, "partial": False, "infeasible": False, "correct": True,
+                     "rmse_m": r} for r in rmses]
+        uniqueness = [{"partial": False, "ghost": False, "correct_found": True, "rmse_m": r,
+                       "detected_pairs": 6, "total_pairs": 6} for r in rmses]
+        assert accuracy_aggregates(accuracy)["levels"][0]["rmse_m"] == left
+        assert uniqueness_aggregates(uniqueness)["rmse_m"] == left
+
 
 class TestStreamRefusals:
     def test_collinear_fixed_scene(self):
@@ -715,3 +726,10 @@ class TestStreamRefusals:
     def test_non_finite_distances(self, spec, sigmas):
         with pytest.raises(ValueError, match="^bs1: distances must be finite$"):
             run_accuracy_experiment(spec, sigmas)
+
+    def test_sigma_whose_square_overflows(self):
+        with pytest.raises(ValueError, match=r"^range_sigma_m 1e\+200 is too large; its square "
+                                             r"overflows$"):
+            NoiseModel(1e200)
+        for quantize in (False, True):
+            assert NoiseModel(1e154, quantize).effective_sigma_m() == 1e154

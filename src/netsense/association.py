@@ -19,9 +19,11 @@ the survivors are about the true rows alone. Only they are trilaterated,
 into a table that never changes once solved. The best max residual
 reported when nothing is feasible comes from the same search on tables
 gated at a tolerance that grows fourfold until one holds a hypothesis.
-``SubproblemBatch`` stacks the survivors of many problems into a single
-solver call. Enumeration and branch-and-bound are one depth-first search
-over a table's residuals, which never builds the hypotheses it rules out.
+``_solved_tables`` batches a stream of problems: it gates them in joins of
+about GATE_ROWS rows and stacks the survivors of several into each solver
+call of about CHUNK_ROWS rows. Enumeration and branch-and-bound are one
+depth-first search over a table's residuals, which never builds the
+hypotheses it rules out.
 Refusals count work done: the rows the gate holds (MAX_GATE_ROWS) and the
 candidates a search examines (MAX_SEARCH_NODES).
 """
@@ -32,7 +34,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -141,6 +143,23 @@ TRIPLE_BLOCK = 1 << 12
 # benchmark RSS than a gate per trial; 64-row blocks cost 10% more time
 # (2-core x86, Python 3.11, numpy 2.4).
 TRIPLE_ROWS = 1 << 7
+
+# Subproblem rows (K^M per problem) gated in one join. At tol = inf every
+# row survives, so this also bounds the rows the join holds: one join of 51
+# K=3, M=4 problems (4,131 rows) peaks at 0.91 MB traced (tracemalloc), and
+# the largest gate of 20 mc-accuracy calls at 0.37 MB, against 0.52 MB when
+# a gate followed every 256 rows (Python 3.11, numpy 2.4).
+GATE_ROWS = 1 << 12
+
+# Solver rows stacked into one call. Each solve takes the shortest run of
+# gated problems, from the front, that holds this many survivors, so every
+# call but a stream's last holds at least CHUNK_ROWS rows and fewer than
+# CHUNK_ROWS plus one problem's survivors. At 256 rows the mc-accuracy
+# benchmark peaks at 40.3 MiB RSS (median of 10 runs), against 40.5 MiB when
+# calls held 256 rows before the gate; 512 rows cost about 1 MiB more and
+# 1024 rows about 1.8 MiB, for 1.2-1.6x more speed (2-core x86, Python 3.11,
+# numpy 2.4).
+CHUNK_ROWS = 256
 
 
 def _gate(dists: Sequence[np.ndarray], anchors: np.ndarray,
@@ -352,94 +371,64 @@ class _SubproblemTable:
         )
 
 
-class SubproblemBatch:
-    """Subproblem rows of several association problems, solved in one call.
+def _solved_tables(problems: Iterable[tuple[np.ndarray, np.ndarray, float]]
+                   ) -> Iterator[_SubproblemTable]:
+    """The table of each problem, in order, from few gates and few solver calls.
 
-    ``add`` validates one problem and keeps its distances, anchors and
-    feasibility tolerance, counting its K^M rows in ``ungated_rows``
-    (``_add`` keeps one without validating it);
-    ``gate`` builds the ``survivors`` of every problem added since, in one
-    join (see ``_gate``), and keeps each problem's ``index`` columns for its
-    table; ``split`` moves the shortest run of gated problems, from the front,
-    that holds a given number of survivors into a batch of its own; ``solve``
-    gates what is left, runs every survivor through a single
-    ``solve_ranges_batch`` call, and returns one table per added problem, in
-    order. Every gated and solved row's result is bitwise what a separate call
-    would give. All problems in a batch need the same M.
+    ``problems`` yields (M, K) distances, (M, 2) anchors and a feasibility
+    tolerance (inf gates nothing) that passed ``_check_inputs``, all with
+    the same M. They are gated in one join (see ``_gate``) once they span
+    GATE_ROWS subproblem rows (K^M per problem), and at the end. The gated
+    problems are solved in runs from the front, each the shortest that
+    holds CHUNK_ROWS survivors, one ``_solve_run`` call per run; at the end
+    the last run takes the rest. Every row's result is bitwise what a
+    separate call would give.
     """
+    problems = iter(problems)
+    # Gated problems not yet solved, with their index columns, and their survivors' ranges.
+    gated, survivors, more = [], np.empty((0, 0)), True
+    while more:
+        fresh, rows = [], 0
+        for dists, anchors, tol in problems:
+            fresh.append((dists, anchors, tol))
+            rows += dists.shape[1] ** dists.shape[0]
+            if rows >= GATE_ROWS:
+                break
+        else:
+            more = False
+        if fresh:
+            dists, anchors, tols = zip(*fresh)
+            problem, index, kept = _gate(dists, np.stack(anchors), np.array(tols))
+            counts = np.bincount(problem, minlength=len(fresh))
+            survivors = np.concatenate([survivors, kept]) if gated else kept
+            gated += zip(fresh, np.split(index, np.cumsum(counts)[:-1]))
+        ends = list(itertools.accumulate(len(index) for _, index in gated))
+        start = cut = 0  # the next run's first problem and first survivor
+        for n, end in enumerate(ends):
+            if end - cut >= CHUNK_ROWS or (not more and n == len(gated) - 1):
+                yield from _solve_run(gated[start:n + 1], survivors[cut:end])
+                start, cut = n + 1, end
+        gated, survivors = gated[start:], survivors[cut:]
 
-    def __init__(self):
-        self._dists: list[np.ndarray] = []  # (M, K) distances of each problem
-        self._anchors: list[np.ndarray] = []
-        self._tols: list[float] = []
-        self._index: list[np.ndarray] = []  # (rows, M) index columns of each gated problem
-        self._kept: list[np.ndarray] = []  # surviving rows of each gate, in problem order
-        self.ungated_rows = self.survivors = 0
 
-    def add(self, profiles: Sequence[DistanceProfile], anchors, tol: float = math.inf) -> None:
-        """Keep one problem for the next gate; ``tol`` = inf gates nothing."""
-        anchors_xy = np.asarray(anchors, float).reshape(-1, 2)
-        _, n_anchors = _check_inputs([len(p.distances) for p in profiles], anchors_xy)
-        if self._dists and len(self._dists[0]) != n_anchors:
-            raise ValueError("every problem in a batch needs the same anchor count")
-        self._add(np.array([p.distances for p in profiles], float), anchors_xy, tol)
-
-    def _add(self, dists: np.ndarray, anchors_xy: np.ndarray, tol: float) -> None:
-        """Keep a problem as ``add`` does, unchecked: its (M, K) ``dists`` and (M, 2)
-        anchors passed ``_check_inputs``, and M is the batch's."""
-        self._dists.append(dists)
-        self._anchors.append(anchors_xy)
-        self._tols.append(tol)
-        self.ungated_rows += dists.shape[1] ** dists.shape[0]
-
-    def gate(self) -> None:
-        """Build the surviving rows of every problem added since the last gate, in one join."""
-        start = len(self._index)
-        if start == len(self._dists):
-            return
-        problem, index, ranges = _gate(self._dists[start:], np.stack(self._anchors[start:]),
-                                       np.array(self._tols[start:]))
-        counts = np.bincount(problem, minlength=len(self._dists) - start)
-        self._index.extend(np.split(index, np.cumsum(counts)[:-1]))
-        self._kept.append(ranges)
-        self.survivors += len(ranges)
-        self.ungated_rows = 0
-
-    def split(self, rows: int) -> SubproblemBatch | None:
-        """The shortest run of gated problems, from the front, holding at least ``rows``
-        survivors, moved into a batch of its own; None while the gated problems hold fewer."""
-        if self.survivors < rows:
-            return None
-        counts = np.cumsum([len(index) for index in self._index])
-        n = int(np.searchsorted(counts, rows)) + 1
-        cut, kept = int(counts[n - 1]), np.concatenate(self._kept)
-        ready = SubproblemBatch()
-        ready._dists, self._dists = self._dists[:n], self._dists[n:]
-        ready._anchors, self._anchors = self._anchors[:n], self._anchors[n:]
-        ready._tols, self._tols = self._tols[:n], self._tols[n:]
-        ready._index, self._index = self._index[:n], self._index[n:]
-        ready._kept, self._kept = [kept[:cut]], [kept[cut:]]
-        ready.survivors, self.survivors = cut, self.survivors - cut
-        return ready
-
-    def solve(self) -> list[_SubproblemTable]:
-        if not self._dists:
-            return []
-        self.gate()
-        counts = [len(index) for index in self._index]
-        problem = np.repeat(np.arange(len(counts)), counts)
-        results = solve_ranges_batch(np.stack(self._anchors)[problem], np.concatenate(self._kept))
-        per_problem = zip(*(np.split(values, np.cumsum(counts)[:-1]) for values in results))
-        return [_SubproblemTable(*dists.shape[::-1], tol, index, own) for dists, tol, index, own
-                in zip(self._dists, self._tols, self._index, per_problem)]
+def _solve_run(run: list, ranges: np.ndarray) -> list[_SubproblemTable]:
+    """The tables of a ``run`` of gated ((dists, anchors, tol), index) problems, from one
+    ``solve_ranges_batch`` call on their survivors' ``ranges``, in problem order."""
+    counts = [len(index) for _, index in run]
+    anchors = np.stack([anchors for (_, anchors, _), _ in run])
+    results = solve_ranges_batch(anchors[np.repeat(np.arange(len(run)), counts)], ranges)
+    per_problem = zip(*(np.split(values, np.cumsum(counts)[:-1]) for values in results))
+    return [_SubproblemTable(*dists.shape[::-1], tol, index, own)
+            for ((dists, _, tol), index), own in zip(run, per_problem)]
 
 
 def subproblem_table(profiles: Sequence[DistanceProfile], anchors,
                      tol: float = math.inf) -> _SubproblemTable:
     """The validated, solved subproblem table of one association problem, gated at ``tol``."""
-    batch = SubproblemBatch()
-    batch.add(profiles, anchors, tol)
-    return batch.solve()[0]
+    anchors_xy = np.asarray(anchors, float).reshape(-1, 2)
+    _check_inputs([len(p.distances) for p in profiles], anchors_xy)
+    dists = np.array([p.distances for p in profiles], float)
+    return next(_solved_tables([(dists, anchors_xy, tol)]))
 
 
 def _search(table: _SubproblemTable, tol: float, best: bool) -> tuple[list[tuple], int]:
@@ -566,7 +555,7 @@ def enumerate_feasible(
     candidates the search examined, and the table's gated_rows and
     solved_rows, the rows given to the solver.
     ``table`` is the subproblem table of these profiles and anchors, already
-    validated and solved (see ``SubproblemBatch``) and gated at no tighter a
+    validated and solved (see ``_solved_tables``) and gated at no tighter a
     tolerance than ``feas_tol_m``; without it the table is built here, gated
     at ``feas_tol_m``.
     """

@@ -56,9 +56,12 @@ def _default_seed() -> int:
     if raw is None:
         return DEFAULT_SEED
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise UsageError(f"NETSENSE_SEED must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise UsageError(f"NETSENSE_SEED must be at least 0, got {seed}")
+    return seed
 
 
 def _int_at_least(low: int):
@@ -185,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sequence length (zc) or subcarrier count (ofdm)")
     p.add_argument("--root", type=int, default=25, help="Zadoff-Chu root")
     p.add_argument("--cp", type=int, default=16, help="OFDM cyclic prefix length")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_int_at_least(0), default=seed)
     p.add_argument("--doppler-bins", type=int, default=16)
     p.add_argument("--mode", choices=("cyclic", "linear"), default="cyclic")
     p.add_argument("--mainlobe-exclusion", type=int, default=1)
@@ -208,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ghosts", help="Monte Carlo ghost-probability estimate")
     p.add_argument("--trials", type=_int_at_least(1), default=1000)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_int_at_least(0), default=seed)
     p.add_argument("--num-bs", type=_int_at_least(3), default=3)
     p.add_argument("--num-targets", type=_int_at_least(1), default=2)
     p.add_argument("--bounds", type=_finite_float, nargs=4, default=[-150.0, -150.0, 150.0, 150.0],
@@ -225,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("montecarlo", help="uniqueness or accuracy experiment")
     p.add_argument("--mode", choices=("uniqueness", "accuracy"), default="uniqueness")
     p.add_argument("--trials", type=_int_at_least(1), default=100)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_int_at_least(0), default=seed)
     p.add_argument("--sigma-list", type=_sigma_list, default="0.0,0.01,0.1",
                    help="comma-separated range sigmas [m] (accuracy mode)")
     p.add_argument("--scene", default=None, help="fixed scene JSON (default: random per trial)")
@@ -614,6 +617,10 @@ def _cmd_montecarlo(opts: dict) -> None:
         f" x {levels} --sigma-list levels" if accuracy else "")
     _refuse_above(request, opts["trials"] * levels, "trial records",
                   MAX_TRIAL_RECORDS, TRIAL_RECORD_BYTES)
+    trials_csv = opts.get("trials_csv") or str(Path(opts["out"]).with_suffix(".csv"))
+    if Path(trials_csv).resolve() == Path(opts["out"]).resolve():
+        raise ValueError(f"--out and --trials-csv both name {trials_csv}; "
+                         "the per-trial CSV would overwrite the JSON report")
     fixed_scene = _load_sweep_scene(opts["scene"]) if opts.get("scene") else None
     plan = None
     if fixed_scene is None:
@@ -646,7 +653,6 @@ def _cmd_montecarlo(opts: dict) -> None:
                   f"rmse_m,{'' if rmse is None else repr(rmse)}")
 
     emit_report(report.to_dict(), "json", opts["out"])
-    trials_csv = opts.get("trials_csv") or str(Path(opts["out"]).with_suffix(".csv"))
     fieldnames = list(report.records[0])
     rows = [[r[k] for k in fieldnames] for r in report.records]
     emit_report({"fieldnames": fieldnames, "rows": rows}, "csv", trials_csv)

@@ -8,19 +8,15 @@ Trials run as streams, which carry each trial as arrays from draw to
 record. A stream draws each trial's BS and target coordinates once, builds
 no Scene, and draws its measurements at every noise level from one draw
 per BS, against coverage radii worked out once per stream. It checks its
-first full-detection problem once, and keeps the (M, K) distances of its
-full-detection (trial, level) problems; once they span GATE_ROWS
-subproblem rows (K^M per problem), and at the end of the stream, it gates
-them in one join at each problem's association tolerance, which builds
-only the rows that survive. It then solves the gated problems in runs from
-the front that hold CHUNK_ROWS survivors each, one call per run, and
-scores each problem of a run from its own table against the trial's true
-coordinates: a uniqueness record from the rows of every feasible
-hypothesis, an accuracy record from the best solution. No ungated row is
-ever built. The worker count is clamped to the trials and the CPUs: one
-worker runs all trials as one stream in-process, and N > 1 run one
-contiguous slice of trials each in a process pool. The report lists
-records by sigma, then trial.
+first full-detection problem once, hands the (M, K) distances of its
+full-detection (trial, level) problems, at each level's association
+tolerance, to ``association._solved_tables``, which gates and solves them
+in batches, and records each problem from its table against the trial's
+true coordinates: a uniqueness record from the rows of every feasible
+hypothesis, an accuracy record from the best one. The worker count is
+clamped to the trials and the CPUs: one worker runs all trials as one
+stream in-process, and N > 1 run one contiguous slice of trials each in a
+process pool. The report lists records by sigma, then trial.
 """
 
 from __future__ import annotations
@@ -36,10 +32,9 @@ import numpy as np
 
 from .association import (
     DistanceProfile,
-    SubproblemBatch,
-    _best_solution,
     _check_inputs,
     _search,
+    _solved_tables,
     enumerate_feasible,  # noqa: F401  kept under this name for bench/tracing.py
     solve_association_bnb,  # noqa: F401  kept under this name for bench/tracing.py
 )
@@ -49,23 +44,6 @@ from .scene import Bounds, Scene, _bs_ids, _draw_layout, scene_to_dict
 from .scene import random_scene  # noqa: F401  kept under this name for bench/tracing.py
 
 CORRECT_MATCH_RADIUS_M = 1e-3
-
-# Solver rows stacked into one call. Each solve takes the shortest run of
-# gated problems, from the front, that holds this many survivors, so every
-# call but a stream's last holds at least CHUNK_ROWS rows and fewer than
-# CHUNK_ROWS plus one problem's survivors. At 256 rows the mc-accuracy
-# benchmark peaks at 40.3 MiB RSS (median of 10 runs), against 40.5 MiB when
-# calls held 256 rows before the gate; 512 rows cost about 1 MiB more and
-# 1024 rows about 1.8 MiB, for 1.2-1.6x more speed (2-core x86, Python 3.11,
-# numpy 2.4).
-CHUNK_ROWS = 256
-
-# Subproblem rows (K^M per problem) a stream gates in one join. At tol = inf
-# every row survives, so this also bounds the rows the join holds: one join
-# of 51 K=3, M=4 problems (4,131 rows) peaks at 0.91 MB traced (tracemalloc),
-# and the largest gate of 20 mc-accuracy calls at 0.37 MB, against 0.52 MB
-# when a gate followed every 256 rows (Python 3.11, numpy 2.4).
-GATE_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -358,14 +336,15 @@ def _accuracy_record(trial: int, trial_seed: int, truth_xy: Sequence[Sequence[fl
     if record["partial"]:
         return record
 
-    solution = _best_solution(table, table.gate_tol)
-    if solution is None:
+    # The best hypothesis, the least assignment among the tied ones, as _best_solution picks it.
+    tied, _ = _search(table, table.gate_tol, best=True)
+    if not tied:
         record.update(infeasible=True, correct=False)
         return record
 
-    positions = [(e.position.x, e.position.y) for e in solution.estimates]
-    consistent, _, rmse = _score(solution.hypothesis.assignment, positions, truth_xy,
-                                 ms.origins)
+    _, assignment, rows = min(tied, key=lambda t: t[1])
+    positions = table.positions.tolist()
+    consistent, _, rmse = _score(assignment, [positions[r] for r in rows], truth_xy, ms.origins)
     record.update(infeasible=False, correct=consistent, rmse_m=rmse)
     return record
 
@@ -381,20 +360,15 @@ def _run_stream(args: tuple) -> list[dict]:
     full-detection problem is checked once (``_check_inputs``): every
     problem of a stream has its K and M, and its anchors are the fixed
     scene's or a layout the draw checked for collinear triples. Each
-    full-detection level adds its (M, K) distances at its association
-    tolerance (``SubproblemBatch._add``). Once the problems added span
-    GATE_ROWS subproblem rows, and at the end of the stream, they are gated
-    in one join, which builds only the survivors. After each gate, every
-    shortest run of gated problems, from the front, that holds CHUNK_ROWS
-    survivors is solved in one call, and the stream's last solve takes
-    what is left. The problems of each solve are scored in trial order
-    from their own tables with ``make_record``, which searches each table
-    at its ``gate_tol``, the problem's association tolerance, and scores
-    against the trial's true target coordinates.
+    full-detection level's (M, K) distances go to ``_solved_tables`` at
+    its association tolerance, and each table that comes back is recorded
+    with ``make_record`` for the oldest full-detection level still waiting,
+    after every partial one drawn before it. ``make_record`` searches the
+    table at its ``gate_tol``, the problem's association tolerance, and
+    scores against the trial's true target coordinates.
     """
     make_record, spec, noises, jobs = args
-    records: list[dict] = []
-    batch, drawn = SubproblemBatch(), deque()
+    drawn: deque = deque()  # (trial, seed, truth, noise, detections) not yet recorded
     if spec.scene is not None:
         scene = spec.scene
         layout = scene.bs_positions(), scene.target_positions()
@@ -404,39 +378,31 @@ def _run_stream(args: tuple) -> list[dict]:
         plan, layout = spec.random_plan, None
         ids = _bs_ids(plan.num_bs)
         rcs = [plan.rcs_dbsm] * plan.num_targets
-    radii, checked = None, False
 
-    def score(ready: SubproblemBatch) -> None:
-        for table in ready.solve():
-            while not drawn[0][-1].full_detection:
-                records.append(make_record(*drawn.popleft(), None))
-            records.append(make_record(*drawn.popleft(), table))
-
-    def gate() -> None:
-        batch.gate()
-        while (ready := batch.split(CHUNK_ROWS)) is not None:
-            score(ready)
-
-    for trial, trial_seed in jobs:
-        bs_xy, target_xy = layout or _draw_layout(plan.num_bs, plan.num_targets, plan.bounds,
-                                                  trial_seed)
-        if radii is None:  # after the first draw, which refuses a bad plan first
-            radii = _coverage_radii(spec.link, spec.snr_min_db, rcs)
-        seen, levels = _measure_arrays(bs_xy, target_xy, radii, ids, noises, trial_seed)
-        truth_xy = target_xy.tolist()
-        for noise, level in zip(noises, levels):
-            drawn.append((trial, trial_seed, truth_xy, noise, seen))
-            if not seen.full_detection:
-                continue
-            if not checked:
-                _check_inputs([len(values) for values in level], bs_xy)
-                checked = True
-            batch._add(np.array(level), bs_xy,
+    def problems():
+        radii, checked = None, False
+        for trial, trial_seed in jobs:
+            bs_xy, target_xy = layout or _draw_layout(plan.num_bs, plan.num_targets,
+                                                      plan.bounds, trial_seed)
+            if radii is None:  # after the first draw, which refuses a bad plan first
+                radii = _coverage_radii(spec.link, spec.snr_min_db, rcs)
+            seen, levels = _measure_arrays(bs_xy, target_xy, radii, ids, noises, trial_seed)
+            truth_xy = target_xy.tolist()
+            for noise, level in zip(noises, levels):
+                drawn.append((trial, trial_seed, truth_xy, noise, seen))
+                if not seen.full_detection:
+                    continue
+                if not checked:
+                    _check_inputs([len(values) for values in level], bs_xy)
+                    checked = True
+                yield (np.array(level), bs_xy,
                        _association_tol(spec.feas_tol_m, noise.effective_sigma_m()))
-            if batch.ungated_rows >= GATE_ROWS:
-                gate()
-    gate()
-    score(batch)
+
+    records: list[dict] = []
+    for table in _solved_tables(problems()):
+        while not drawn[0][-1].full_detection:
+            records.append(make_record(*drawn.popleft(), None))
+        records.append(make_record(*drawn.popleft(), table))
     records.extend(make_record(*d, None) for d in drawn)
     return records
 

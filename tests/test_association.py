@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from netsense import association
 from netsense.association import (
     DistanceProfile,
-    SubproblemBatch,
     build_ghost_report,
     enumerate_feasible,
     exact_profiles,
@@ -57,6 +56,17 @@ def positions_of(solution):
 def profiles_for(anchors_xy, targets_xy):
     d = np.linalg.norm(anchors_xy[:, None, :] - targets_xy[None, :, :], axis=2)
     return [DistanceProfile(f"bs{m+1}", tuple(d[m])) for m in range(len(anchors_xy))]
+
+
+def solved_tables(problems, tols=None):
+    """``_solved_tables`` of (profiles, anchors) problems, each checked first, at ``tols``
+    (inf for each by default)."""
+    checked = []
+    for (profiles, anchors), tol in zip(problems, tols or [math.inf] * len(problems)):
+        anchors = np.asarray(anchors, float)
+        association._check_inputs([len(p.distances) for p in profiles], anchors)
+        checked.append((np.array([p.distances for p in profiles]), anchors, tol))
+    return list(association._solved_tables(checked))
 
 
 class TestEnumerateFeasible:
@@ -585,10 +595,7 @@ class TestTripleGate:
     def test_infinite_tolerance_gates_nothing_in_a_mixed_batch(self):
         problems = [noisy_problem(seed, 3, 4, 0.1) for seed in (1, 2, 3, 4, 5)]
         tols = (math.inf, 1e-6, math.inf, 0.6, 1e300)
-        batch = SubproblemBatch()
-        for (profiles, anchors), tol in zip(problems, tols):
-            batch.add(profiles, anchors, tol)
-        for table, (profiles, anchors), tol in zip(batch.solve(), problems, tols):
+        for table, (profiles, anchors), tol in zip(solved_tables(problems, tols), problems, tols):
             single = subproblem_table(profiles, anchors, tol)
             assert np.array_equal(table.index, single.index)
             for got, want in zip(TestPairwiseGate.columns(table),
@@ -716,14 +723,29 @@ class TestSearchOrder:
         assert (nodes, rows) == (
             38556, "971c9629f5f885c2591613191f3cef00f0a6b78a0185042dbb2a55dc77b1e682")
 
+    def test_equal_rms_candidates_keep_row_order(self):
+        # K=2, M=3: slot 0's rows 0 and 1 have exactly equal rms, and each
+        # completes one hypothesis, so the order of the two hypotheses is the
+        # order in which the search takes slot 0's tied candidates.
+        index = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 0], [1, 1, 1]], np.int16)
+        rms = np.array([0.5, 0.5, 0.2, 0.3])
+        results = (np.zeros((4, 2)), rms, np.ones(4, bool), np.ones(4, int))
+        table = association._SubproblemTable(2, 3, 1.0, index, results)
+        found, nodes = association._search(table, 1.0, best=False)
+        assert [rows for _, _, rows in found] == [(0, 3), (1, 2)]
+        assert [assignment for _, assignment, _ in found] == [
+            ((0, 1), (0, 1), (0, 1)), ((0, 1), (1, 0), (1, 0))]
+        assert nodes == 6
+
 
 class TestSubproblemBatch:
+    """Several problems solved together by ``_solved_tables``."""
+
     def test_stacked_tables_equal_single_tables(self):
         problems = [noisy_problem(seed, k, 4, 0.1) for seed, k in ((1, 1), (2, 3), (3, 2), (4, 3))]
-        batch = SubproblemBatch()
-        for profiles, anchors in problems:
-            batch.add(profiles, anchors)
-        for table, (profiles, anchors) in zip(batch.solve(), problems):
+        tables = solved_tables(problems)
+        assert len(tables) == len(problems)
+        for table, (profiles, anchors) in zip(tables, problems):
             single = subproblem_table(profiles, anchors)
             assert (table.k, table.m) == (single.k, single.m)
             for got, want in ((table.positions, single.positions), (table.rms, single.rms),
@@ -735,10 +757,7 @@ class TestSubproblemBatch:
         problems = [noisy_problem(seed, k, 4, sigma) for seed, k, sigma in
                     ((1, 1, 0.0), (2, 3, 0.1), (3, 2, 1.0), (4, 3, 0.0))]
         tols = (1e-6, 0.6, 6.0, 1e-12)
-        batch = SubproblemBatch()
-        for (profiles, anchors), tol in zip(problems, tols):
-            batch.add(profiles, anchors, tol)
-        for table, (profiles, anchors), tol in zip(batch.solve(), problems, tols):
+        for table, (profiles, anchors), tol in zip(solved_tables(problems, tols), problems, tols):
             dense = subproblem_table(profiles, anchors)
             assert table.gate_tol == tol and len(table.index)
             for got, want in ((table.positions, dense.positions), (table.rms, dense.rms),
@@ -752,20 +771,18 @@ class TestSubproblemBatch:
         assert enumerate_feasible(profiles, anchors, 0.6, table=table) == enumerate_feasible(
             profiles, anchors, 0.6)
 
-    def test_empty_batch_solves_nothing(self):
-        assert SubproblemBatch().solve() == []
+    def test_empty_batch_solves_nothing(self, monkeypatch):
+        monkeypatch.setattr(association, "solve_ranges_batch", None)
+        assert solved_tables([]) == []
 
     def test_validates_each_problem(self):
-        batch = SubproblemBatch()
         with pytest.raises(UnequalCardinalityError):
-            batch.add([DistanceProfile("a", (1.0,)), DistanceProfile("b", (1.0, 2.0)),
-                       DistanceProfile("c", (1.0,))], EXAMPLE_BS_XY)
+            subproblem_table([DistanceProfile("a", (1.0,)), DistanceProfile("b", (1.0, 2.0)),
+                              DistanceProfile("c", (1.0,))], EXAMPLE_BS_XY)
 
     def test_mixed_anchor_counts_rejected(self):
-        batch = SubproblemBatch()
-        batch.add(*noisy_problem(1, 2, 3, 0.0))
         with pytest.raises(ValueError):
-            batch.add(*noisy_problem(2, 2, 4, 0.0))
+            solved_tables([noisy_problem(1, 2, 3, 0.0), noisy_problem(2, 2, 4, 0.0)])
 
 
 class TestNonFiniteProfiles:
@@ -906,12 +923,9 @@ class TestSubproblemCap:
         # before building them, and nothing reaches the solver.
         monkeypatch.setattr(association, "MAX_GATE_ROWS", 80)
         monkeypatch.setattr(association, "solve_ranges_batch", None)
-        batch = SubproblemBatch()
-        batch.add(exact_profiles(self.SCENE), self.SCENE.bs_positions())
         with pytest.raises(ValueError, match="K=3 targets at M=4 anchors leave 81 candidate rows "
                                              "at anchor 4; the gate holds at most 80 per problem"):
-            batch.solve()
-        assert batch.survivors == 0
+            subproblem_table(exact_profiles(self.SCENE), self.SCENE.bs_positions())
 
     def test_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(association, "MAX_GATE_ROWS", 81)

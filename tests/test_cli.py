@@ -57,6 +57,12 @@ class TestUsage:
         assert "NETSENSE_SEED" in err
         assert "Traceback" not in err
 
+    def test_negative_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("NETSENSE_SEED", "-5")
+        code, out, err = run_cli(capsys, ["ghosts", "--trials", "2"])
+        assert (code, out) == (2, "")
+        assert err == "error: NETSENSE_SEED must be at least 0, got -5\n"
+
     @pytest.mark.parametrize("workers", ["-4", "0"])
     def test_nonpositive_workers_is_usage_error(self, capsys, tmp_path, workers):
         code, _, err = run_cli(capsys, [
@@ -99,6 +105,10 @@ class TestUsage:
         (["ghosts", "--num-bs", "2"], "--num-bs"),
         (["montecarlo", "--trials", "0"], "--trials"),
         (["ghosts", "--trials", "-1"], "--trials"),
+        (["montecarlo", "--seed", "-1"], "--seed"),
+        (["ghosts", "--seed", "-3"], "--seed"),
+        (["ambiguity", "--waveform", "ofdm", "--length", "64", "--seed", "-1"], "--seed"),
+        (["ambiguity", "--waveform", "zc", "--seed", "-1"], "--seed"),
     ])
     def test_bad_float_flag_is_usage_error(self, capsys, tmp_path, scenes_dir, argv, flag):
         argv = [str(scenes_dir / "example1.json") if a == "SCENE" else a for a in argv]
@@ -133,6 +143,18 @@ class TestUsage:
         for quantize in ([], ["--quantize"]):
             code, _, err = run_cli(capsys, argv + ["--sigma-list", "1e154"] + quantize)
             assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("flags", [["--out", "r.csv"],
+                                       ["--out", "r.json", "--trials-csv", "./r.json"]])
+    def test_trials_csv_on_the_report_path_is_domain_error(self, capsys, tmp_path, monkeypatch,
+                                                           flags):
+        # The per-trial CSV would overwrite the JSON report; no trial runs.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "run_uniqueness_experiment", None)
+        code, out, err = run_cli(capsys, ["montecarlo", "--trials", "2", *flags])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: --out and --trials-csv both name {flags[-1]}; ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_sigma_list_keeps_its_text(self):
         namespace = build_parser().parse_args(["montecarlo", "--sigma-list", "0.10,,1e-1"])
@@ -729,6 +751,9 @@ class TestDeterminismAndConfig:
         (["ghosts"], "num_bs", 2, "num_bs=2: must be at least 3"),
         (["montecarlo"], "trials", 0, "trials=0: must be at least 1"),
         (["ghosts"], "trials", -1, "trials=-1: must be at least 1"),
+        (["montecarlo"], "seed", -1, "seed=-1: must be at least 0"),
+        (["ghosts"], "seed", -1, "seed=-1: must be at least 0"),
+        (["ambiguity"], "seed", -1, "seed=-1: must be at least 0"),
     ])
     def test_run_config_checks_values_like_the_flags(self, capsys, args, key, value, message):
         options = {**self.parsed_options(args), key: value}

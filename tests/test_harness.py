@@ -384,26 +384,26 @@ class TestAccuracyExperiment:
 
 
 class SolverLog:
-    """Rows of each solver call, split into stacked batch solves and the rest.
+    """Rows of each solver call, split into the solves of a run (``_solve_run``) and the rest.
 
-    The rest would be solver calls outside a batch solve; the harness makes
-    none. ``levels`` holds, per batch solve, the gate tolerance of each
-    table it returned, and ``solves`` the tables themselves.
+    The rest would be solver calls outside a run's solve; the harness makes
+    none. ``levels`` holds, per run, the gate tolerance of each table it
+    returned, and ``solves`` the tables themselves.
     """
 
     def __init__(self, monkeypatch):
         self.stacked, self.other, self.tables, self.levels, self.solves = [], [], [], [], []
         self._in_batch = False
-        solve_rows, batch_solve = association.solve_ranges_batch, association.SubproblemBatch.solve
+        solve_rows, run_solve = association.solve_ranges_batch, association._solve_run
 
         def counting_solver(anchors, ranges):
             (self.stacked if self._in_batch else self.other).append(len(ranges))
             return solve_rows(anchors, ranges)
 
-        def logged_solve(batch):
+        def logged_solve(*args):
             self._in_batch = True
             try:
-                tables = batch_solve(batch)
+                tables = run_solve(*args)
             finally:
                 self._in_batch = False
             self.tables.extend(tables)
@@ -412,7 +412,7 @@ class SolverLog:
             return tables
 
         monkeypatch.setattr(association, "solve_ranges_batch", counting_solver)
-        monkeypatch.setattr(association.SubproblemBatch, "solve", logged_solve)
+        monkeypatch.setattr(association, "_solve_run", logged_solve)
 
 
 class TestChunking:
@@ -423,7 +423,7 @@ class TestChunking:
     def test_reports_independent_of_row_cap(self, monkeypatch, cap):
         unique = run_uniqueness_experiment(self.SPEC).to_dict()
         accuracy = run_accuracy_experiment(self.SPEC, [0.0, 0.5]).to_dict()
-        monkeypatch.setattr(harness, "CHUNK_ROWS", cap)
+        monkeypatch.setattr(association, "CHUNK_ROWS", cap)
         assert run_uniqueness_experiment(self.SPEC).to_dict() == unique
         assert run_accuracy_experiment(self.SPEC, [0.0, 0.5]).to_dict() == accuracy
 
@@ -432,7 +432,7 @@ class TestChunking:
         # at sigma 0.5, and a trial adds both levels in turn, so 64 survivors
         # are reached between the two levels of some trial.
         accuracy = run_accuracy_experiment(self.SPEC, [0.0, 0.5]).to_dict()
-        monkeypatch.setattr(harness, "CHUNK_ROWS", 64)
+        monkeypatch.setattr(association, "CHUNK_ROWS", 64)
         log = SolverLog(monkeypatch)
         assert run_accuracy_experiment(self.SPEC, [0.0, 0.5]).to_dict() == accuracy
         levels = [tols for tols in log.levels if tols]
@@ -444,7 +444,7 @@ class TestChunking:
     def test_workers_under_a_row_cap(self, monkeypatch):
         unique = run_uniqueness_experiment(self.SPEC).to_dict()
         accuracy = run_accuracy_experiment(self.SPEC, [0.0, 0.5]).to_dict()
-        monkeypatch.setattr(harness, "CHUNK_ROWS", 81)
+        monkeypatch.setattr(association, "CHUNK_ROWS", 81)
         assert run_uniqueness_experiment(self.SPEC, workers=2).to_dict() == unique
         assert run_accuracy_experiment(self.SPEC, [0.0, 0.5], workers=2).to_dict() == accuracy
 
@@ -476,7 +476,7 @@ class TestChunking:
         log = SolverLog(monkeypatch)
         spec = ExperimentSpec(random_plan=self.PLAN, trials=40, seed=22, feas_tol_m=1e-4)
         run_accuracy_experiment(spec, [0.0, 0.1, 0.5, 1.0])
-        cap, rows = harness.CHUNK_ROWS, 3 ** 4
+        cap, rows = association.CHUNK_ROWS, 3 ** 4
         assert len(log.stacked) > 2
         assert all(n >= cap for n in log.stacked[:-1])
         # A solve takes the shortest run of gated problems, from the front,
@@ -490,15 +490,15 @@ class TestChunking:
         # K=8, M=6: 262,144 rows, of which the 8 true rows survive. A gate that
         # built every row before testing it would peak near 46 MB.
         scene = random_scene(6, 8, Bounds(-150, -150, 150, 150), seed=1729)
-        batch = association.SubproblemBatch()
-        batch.add(association.exact_profiles(scene), scene.bs_positions(), 1e-4)
+        dists = np.array([p.distances for p in association.exact_profiles(scene)])
         tracemalloc.start()
         try:
-            batch.gate()
+            _, _, survivors = association._gate([dists], scene.bs_positions()[None],
+                                                np.array([1e-4]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert batch.survivors == 8
+        assert len(survivors) == 8
         assert peak < 1e6
 
     def test_tables_hold_only_survivors(self):
@@ -529,11 +529,22 @@ class TestChunking:
         # 10 trials at four levels hold at most 40 * 81 = 3,240 rows, under
         # one gate budget, so the stream gates once, at its end.
         spec = ExperimentSpec(random_plan=self.PLAN, trials=10, seed=21, feas_tol_m=1e-4)
-        assert 10 * 4 * 3 ** 4 < harness.GATE_ROWS
+        assert 10 * 4 * 3 ** 4 < association.GATE_ROWS
         calls, gate = [], association._gate
         monkeypatch.setattr(association, "_gate", lambda *args: calls.append(1) or gate(*args))
         run_accuracy_experiment(spec, [0.0, 0.1, 0.5, 1.0])
         assert len(calls) == 1
+
+    def test_gate_budget_is_inclusive(self, monkeypatch):
+        # A K=3, M=4 problem spans 81 rows, a whole budget of 81, so each
+        # problem is gated on its own as soon as it arrives.
+        monkeypatch.setattr(association, "GATE_ROWS", 81)
+        calls, gate = [], association._gate
+        monkeypatch.setattr(association, "_gate",
+                            lambda *args: calls.append(len(args[0])) or gate(*args))
+        spec = ExperimentSpec(random_plan=self.PLAN, trials=5, seed=21, feas_tol_m=1e-4)
+        assert run_uniqueness_experiment(spec).aggregates["completed"] == 5
+        assert calls == [1] * 5
 
     @pytest.mark.parametrize("cap", [64, 256])
     @pytest.mark.parametrize("budget", [1, 81, 4096, 1 << 20])
@@ -543,8 +554,8 @@ class TestChunking:
         sigmas = [0.0, 0.1, 0.5, 1.0]
         unique = run_uniqueness_experiment(spec).to_dict()
         accuracy = run_accuracy_experiment(spec, sigmas).to_dict()
-        monkeypatch.setattr(harness, "GATE_ROWS", budget)
-        monkeypatch.setattr(harness, "CHUNK_ROWS", cap)
+        monkeypatch.setattr(association, "GATE_ROWS", budget)
+        monkeypatch.setattr(association, "CHUNK_ROWS", cap)
         assert run_uniqueness_experiment(spec).to_dict() == unique
         assert run_accuracy_experiment(spec, sigmas).to_dict() == accuracy
 
@@ -552,7 +563,7 @@ class TestChunking:
     def test_every_solve_but_the_last_stops_at_the_cap(self, monkeypatch, cap):
         # Each solve but the stream's last is the shortest run of problems that
         # reaches the cap: without its last problem it falls short.
-        monkeypatch.setattr(harness, "CHUNK_ROWS", cap)
+        monkeypatch.setattr(association, "CHUNK_ROWS", cap)
         log = SolverLog(monkeypatch)
         spec = ExperimentSpec(random_plan=self.PLAN, trials=40, seed=22, feas_tol_m=1e-4)
         run_accuracy_experiment(spec, [0.0, 0.1, 0.5, 1.0])
@@ -565,18 +576,20 @@ class TestChunking:
     def test_one_gate_budget_at_tol_inf(self):
         # At tol = inf every row survives, so one join holds a full budget:
         # 51 K=3, M=4 problems, 4,131 rows. It peaks near 0.91 MB.
-        problems = -(-harness.GATE_ROWS // 3 ** 4)
-        batch = association.SubproblemBatch()
-        for seed in range(problems):
-            scene = random_scene(4, 3, Bounds(-150, -150, 150, 150), seed=seed)
-            batch.add(association.exact_profiles(scene), scene.bs_positions())
+        problems = -(-association.GATE_ROWS // 3 ** 4)
+        scenes = [random_scene(4, 3, Bounds(-150, -150, 150, 150), seed=seed)
+                  for seed in range(problems)]
+        dists = [np.array([p.distances for p in association.exact_profiles(scene)])
+                 for scene in scenes]
+        anchors = [scene.bs_positions() for scene in scenes]
         tracemalloc.start()
         try:
-            batch.gate()
+            _, _, survivors = association._gate(dists, np.stack(anchors),
+                                                np.full(problems, math.inf))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert batch.survivors == problems * 3 ** 4
+        assert len(survivors) == problems * 3 ** 4
         assert peak < 1.2e6
 
 
